@@ -828,7 +828,7 @@ DEDUCTION_FILES = {
 
 
 def gen_sequent_and_deduction() -> None:
-    from namecalc.sequent import claim_implication, sequent_implication
+    from namecalc.sequent import implication
 
     for filename, text in SEQUENT_FILES.items():
         path = f"sequents/{filename}"
@@ -845,11 +845,13 @@ def gen_sequent_and_deduction() -> None:
 
     def seq_formula(filename: str) -> str:
         parsed = parse_sequent_script((DATA / f"sequents/{filename}").read_text())
-        return format_formula(sequent_implication(parsed.lines[-1].sequent))
+        last = parsed.lines[-1].sequent
+        return format_formula(implication(last.premises, last.conclusion))
 
     def ded_formula(filename: str) -> str:
         parsed = parse_deduction_script((DATA / f"deductions/{filename}").read_text())
-        return format_formula(claim_implication(parsed.lines[-1].claim))
+        last = parsed.lines[-1].claim
+        return format_formula(implication(last.premises, last.conclusion))
 
     def pin(text: str) -> dict[str, str]:
         from namecalc.parser import parse_formula

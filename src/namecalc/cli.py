@@ -284,6 +284,9 @@ def run(argv: list[str] | None = None) -> int:
     except (CapExceeded, GuardExceeded) as err:
         print(f"guard: {err}", file=sys.stderr)
         return USAGE
+    except RecursionError:
+        print("guard: formula nests too deeply", file=sys.stderr)
+        return USAGE
     except (CliError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class Functor(Enum):
@@ -118,6 +118,24 @@ def distinct_atoms(formula: Formula) -> list[Atom]:
     return list(seen)
 
 
+def truth(formula: Formula, leaf: Callable[[Atom], bool]) -> bool:
+    """Classical truth of a formula given the truth of its atoms; the right
+    operand is evaluated only when the left one does not settle the value."""
+    if isinstance(formula, Atom):
+        return leaf(formula)
+    if isinstance(formula, Neg):
+        return not truth(formula.operand, leaf)
+    left = truth(formula.left, leaf)
+    op = formula.op
+    if op == "&":
+        return left and truth(formula.right, leaf)
+    if op == "|":
+        return left or truth(formula.right, leaf)
+    if op == "->":
+        return not left or truth(formula.right, leaf)
+    return left == truth(formula.right, leaf)
+
+
 def substitute(formula: Formula, subst: Substitution) -> Formula:
     """Replace every letter occurrence L by subst.get(L, L); tree shape unchanged."""
     if isinstance(formula, Atom):
@@ -171,8 +189,8 @@ def match_schema(pattern: Formula, candidate: Formula) -> Optional[dict[str, str
     return subst if walk(pattern, candidate) else None
 
 
-def match_atoms(pairs: list[tuple[Atom, Atom]]) -> Optional[dict[str, str]]:
-    """Jointly match several (pattern, candidate) atom pairs with one substitution."""
+def match_atoms(pairs: list[tuple[Formula, Formula]]) -> Optional[dict[str, str]]:
+    """Jointly match several (pattern, candidate) pairs with one substitution."""
     subst: dict[str, str] = {}
     for pattern, candidate in pairs:
         found = match_schema(pattern, candidate)

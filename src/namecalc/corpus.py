@@ -25,12 +25,7 @@ from .parser import (
 )
 from .proof import check_proof
 from .semantics import ModelClass, evaluate, in_class
-from .sequent import (
-    check_sequent_proof,
-    check_smiley_deduction,
-    claim_implication,
-    sequent_implication,
-)
+from .sequent import check_sequent_proof, check_smiley_deduction, implication
 from .systems import system
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -132,7 +127,8 @@ def _check_script(entry: CorpusEntry, script: CorpusScript, data_dir: Path, repo
                 f"{entry.name}: {script.path} rejected at line {result.failure_line}: {result.reason}"
             )
             return
-        conclusion = format_formula(sequent_implication(parsed.lines[-1].sequent))
+        last = parsed.lines[-1].sequent
+        conclusion = format_formula(implication(last.premises, last.conclusion))
     elif script.path.endswith(".ded"):
         parsed = parse_deduction_script(text)
         result = check_smiley_deduction(parsed)
@@ -141,7 +137,8 @@ def _check_script(entry: CorpusEntry, script: CorpusScript, data_dir: Path, repo
                 f"{entry.name}: {script.path} rejected at line {result.failure_line}: {result.reason}"
             )
             return
-        conclusion = format_formula(claim_implication(parsed.lines[-1].claim))
+        last = parsed.lines[-1].claim
+        conclusion = format_formula(implication(last.premises, last.conclusion))
     else:
         report.mismatches.append(f"{entry.name}: unknown script format {script.path}")
         return

@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Atom, Formula, Functor, Neg, distinct_atoms, letters
-from .semantics import Model, ModelClass, evaluate, in_class
+from .core import Atom, Formula, Functor, Neg, distinct_atoms, letters, truth
+from .semantics import _UNIVERSE_MINIMUM, Model, ModelClass, evaluate, in_class
 
 
 class Card(IntEnum):
@@ -58,14 +58,6 @@ class Countermodel:
 
 
 Verdict = Union[Valid, Countermodel]
-
-_UNIVERSE_MINIMUM = {
-    ModelClass.ALL: 0,
-    ModelClass.TRADITIONAL: 1,
-    ModelClass.POLYREFERENTIAL: 2,
-    ModelClass.NON_MONOREFERENTIAL: 2,
-}
-
 
 def _letter_sizes(labeling: RegionLabeling, many_size: int = 2) -> list[int]:
     weights = [0, 1, many_size]
@@ -164,22 +156,6 @@ def _compile_atom(atom: Atom, index: dict[str, int], regions: int):
     raise AssertionError(f)
 
 
-def _eval_on_labels(formula: Formula, atom_truth: dict[Atom, bool]) -> bool:
-    if isinstance(formula, Atom):
-        return atom_truth[formula]
-    if isinstance(formula, Neg):
-        return not _eval_on_labels(formula.operand, atom_truth)
-    left = _eval_on_labels(formula.left, atom_truth)
-    right = _eval_on_labels(formula.right, atom_truth)
-    if formula.op == "&":
-        return left and right
-    if formula.op == "|":
-        return left or right
-    if formula.op == "->":
-        return (not left) or right
-    return left == right
-
-
 class CapExceeded(ValueError):
     pass
 
@@ -202,9 +178,11 @@ def decide(formula: Formula, cls: ModelClass, cap: int = DEFAULT_CAP) -> Verdict
     letter_regions = [
         tuple(r for r in range(regions) if r >> j & 1) for j in range(len(vocab))
     ]
-    compiled = [
-        (atom, _compile_atom(atom, index, regions)) for atom in distinct_atoms(formula)
-    ]
+    compiled = {atom: _compile_atom(atom, index, regions) for atom in distinct_atoms(formula)}
+
+    def leaf(atom: Atom) -> bool:
+        return compiled[atom](labels, sizes)
+
     for labels in itertools.product(alphabet, repeat=regions):
         sizes = [sum(labels[r] for r in mine) for mine in letter_regions]
         if cls is ModelClass.TRADITIONAL:
@@ -216,8 +194,7 @@ def decide(formula: Formula, cls: ModelClass, cap: int = DEFAULT_CAP) -> Verdict
         elif cls is ModelClass.NON_MONOREFERENTIAL:
             if any(s == 1 for s in sizes):
                 continue
-        truths = {atom: test(labels, sizes) for atom, test in compiled}
-        if not _eval_on_labels(formula, truths):
+        if not truth(formula, leaf):
             model = realize(RegionLabeling(vocab, labels), cls)
             assert model is not None
             return Countermodel(model)
@@ -231,23 +208,21 @@ ORACLE_MAX_LETTERS = 3
 ORACLE_MAX_UNIVERSE = 8
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _oracle_tables(count: int, max_universe: int):
     """Shared read-only denotation-mask and popcount columns for an assignment
-    enumeration over `count` letters."""
+    enumeration over `count` letters.  uint8 holds every mask, since the
+    universe has at most 8 elements."""
     subsets = 1 << max_universe
-    total = subsets**count
-    pop_table = np.array([bin(x).count("1") for x in range(subsets)], dtype=np.int64)
-    indices = np.arange(total, dtype=np.int64)
+    masks_of = np.arange(subsets, dtype=np.uint8)
+    pops_of = np.array([bin(x).count("1") for x in range(subsets)], dtype=np.uint8)
     masks, pops = [], []
     for j in range(count):
-        shift = subsets ** (count - 1 - j)
-        mask = (indices // shift) % subsets
-        mask.setflags(write=False)
-        pop = pop_table[mask]
-        pop.setflags(write=False)
-        masks.append(mask)
-        pops.append(pop)
+        inner, outer = subsets ** (count - 1 - j), subsets**j
+        for table, column in ((masks_of, masks), (pops_of, pops)):
+            values = np.tile(np.repeat(table, inner), outer)
+            values.setflags(write=False)
+            column.append(values)
     return tuple(masks), tuple(pops)
 
 

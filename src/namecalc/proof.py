@@ -4,7 +4,8 @@ definitional rewriter between functor bases.
 The kernel has two rules, detachment and uniform letter substitution, plus
 axiom/definition instances and a single `cpl` tag that admits any
 substitution instance of a propositional tautology (checked by truth table
-over the distinct atoms).
+over the distinct atoms).  The rewriter translates through the registered
+``df*`` definition schemas.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from .core import (
     Formula,
     Functor,
     Neg,
-    conj,
-    disj,
     distinct_atoms,
     match_schema,
-    neg,
     substitute,
+    truth,
 )
 from .proofscript import (
     AxiomInstance,
@@ -34,7 +33,7 @@ from .proofscript import (
     ProofScript,
     Substitute,
 )
-from .systems import AxiomSchema, SystemSpec
+from .systems import SCHEMAS, AxiomSchema, SystemSpec
 
 CPL_ATOM_LIMIT = 20
 
@@ -50,23 +49,10 @@ def is_cpl_tautology(formula: Formula) -> bool:
     if len(atoms) > CPL_ATOM_LIMIT:
         raise GuardExceeded(f"{len(atoms)} distinct atoms exceed the truth-table guard")
     position = {atom: k for k, atom in enumerate(atoms)}
-
-    def value(node: Formula, bits: int) -> bool:
-        if isinstance(node, Atom):
-            return bool(bits >> position[node] & 1)
-        if isinstance(node, Neg):
-            return not value(node.operand, bits)
-        left = value(node.left, bits)
-        right = value(node.right, bits)
-        if node.op == "&":
-            return left and right
-        if node.op == "|":
-            return left or right
-        if node.op == "->":
-            return (not left) or right
-        return left == right
-
-    return all(value(formula, bits) for bits in range(1 << len(atoms)))
+    return all(
+        truth(formula, lambda atom: bits >> position[atom] & 1 == 1)
+        for bits in range(1 << len(atoms))
+    )
 
 
 @dataclass(frozen=True)
@@ -149,118 +135,31 @@ class Basis(Enum):
     AIEO_FULL = "full" # target atoms: a, i, e, o (eps family untouched)
 
 
-def _a(s, p):
-    return Atom(Functor.A, s, p)
+_BASIS_FUNCTORS = {
+    Basis.AI: {Functor.A, Functor.I},
+    Basis.KAI: {Functor.KA, Functor.I},
+    Basis.AIEO_FULL: {Functor.A, Functor.I, Functor.E, Functor.O},
+}
 
-
-def _i(s, p):
-    return Atom(Functor.I, s, p)
-
-
-def _ka(s, p):
-    return Atom(Functor.KA, s, p)
-
-
-def _eps(s, p):
-    return Atom(Functor.EPS, s, p)
-
-
-def _expand_atom_ai(atom: Atom) -> Formula:
-    s, p = atom.subject, atom.predicate
-    f = atom.functor
-    if f in (Functor.A, Functor.I, Functor.EPS):
-        return atom
-    if f is Functor.E:
-        return neg(_i(s, p))
-    if f is Functor.O:
-        return neg(_a(s, p))
-    if f is Functor.EX:
-        return _i(s, s)
-    if f is Functor.KA:
-        return conj(_i(s, s), _a(s, p))
-    if f is Functor.OT:
-        return neg(conj(_i(s, s), _a(s, p)))
-    if f is Functor.KE:
-        return conj(_i(s, s), neg(_i(s, p)))
-    if f is Functor.KKE:
-        return conj(_i(s, s), _i(p, p), neg(_i(s, p)))
-    if f is Functor.CEQ:
-        return conj(_a(s, p), _a(p, s))
-    if f is Functor.DEQ:
-        return conj(conj(_i(s, s), _a(s, p)), conj(_i(p, p), _a(p, s)))
-    if f is Functor.NEPS:
-        return conj(_eps(s, s), neg(_eps(s, p)))
-    if f is Functor.IDEQ:
-        return conj(_eps(s, p), _eps(p, s))
-    raise AssertionError(f)
-
-
-def _weak_a(s, p):
-    # a through the strong functor
-    return disj(neg(_ka(s, s)), _ka(s, p))
-
-
-def _expand_atom_kai(atom: Atom) -> Formula:
-    s, p = atom.subject, atom.predicate
-    f = atom.functor
-    if f in (Functor.KA, Functor.I, Functor.EPS):
-        return atom
-    if f is Functor.A:
-        return _weak_a(s, p)
-    if f is Functor.E:
-        return neg(_i(s, p))
-    if f is Functor.O:
-        return neg(_weak_a(s, p))
-    if f is Functor.EX:
-        return _i(s, s)
-    if f is Functor.OT:
-        return neg(_ka(s, p))
-    if f is Functor.KE:
-        return conj(_i(s, s), neg(_i(s, p)))
-    if f is Functor.KKE:
-        return conj(_i(s, s), _i(p, p), neg(_i(s, p)))
-    if f is Functor.CEQ:
-        return conj(_weak_a(s, p), _weak_a(p, s))
-    if f is Functor.DEQ:
-        return conj(_ka(s, p), _ka(p, s))
-    if f is Functor.NEPS:
-        return conj(_eps(s, s), neg(_eps(s, p)))
-    if f is Functor.IDEQ:
-        return conj(_eps(s, p), _eps(p, s))
-    raise AssertionError(f)
-
-
-def _expand_atom_full(atom: Atom) -> Formula:
-    if atom.functor in (Functor.A, Functor.I, Functor.E, Functor.O, Functor.EPS):
-        return atom
-    s, p = atom.subject, atom.predicate
-    f = atom.functor
-    if f is Functor.EX:
-        return _i(s, s)
-    if f is Functor.KA:
-        return conj(_i(s, s), _a(s, p))
-    if f is Functor.OT:
-        return neg(conj(_i(s, s), _a(s, p)))
-    if f is Functor.KE:
-        return conj(_i(s, s), Atom(Functor.E, s, p))
-    if f is Functor.KKE:
-        return conj(_i(s, s), _i(p, p), Atom(Functor.E, s, p))
-    return _expand_atom_ai(atom)
-
-
-_EXPANDERS = {
-    Basis.AI: _expand_atom_ai,
-    Basis.KAI: _expand_atom_kai,
-    Basis.AIEO_FULL: _expand_atom_full,
+# Each derived functor is the left side of exactly one definition schema;
+# i and eps are primitive and have none.
+_DEFINITIONS = {
+    schema.pattern.left.functor: schema.pattern
+    for name, schema in SCHEMAS.items()
+    if name.startswith("df")
 }
 
 
 def expand_definitions(formula: Formula, basis: Basis) -> Formula:
-    """Rewrite every atom outside the target basis through its definition.
-    Idempotent on formulas already in the basis; eps atoms survive untouched."""
-    expander = _EXPANDERS[basis]
+    """Rewrite every atom outside the target basis by the definition schema
+    of its functor, repeatedly.  Idempotent on formulas already in the basis;
+    eps atoms survive untouched."""
     if isinstance(formula, Atom):
-        return expander(formula)
+        definition = _DEFINITIONS.get(formula.functor)
+        if definition is None or formula.functor in _BASIS_FUNCTORS[basis]:
+            return formula
+        subst = match_schema(definition.left, formula)
+        return expand_definitions(substitute(definition.right, subst), basis)
     if isinstance(formula, Neg):
         return Neg(expand_definitions(formula.operand, basis))
     return Bin(

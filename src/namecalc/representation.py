@@ -212,47 +212,14 @@ def format_structure(structure: RelationalStructure) -> str:
 
 # Canonical models from a finite model's atomic diagram.
 
-class Diagram:
-    """The atomic facts of a backing model over a fixed vocabulary; the
-    closure of this set under a sound system's theses is automatic."""
-
-    def __init__(self, model: Model, vocab: Iterable[str]):
-        self.model = model
-        self.vocab = tuple(sorted(set(vocab)))
-
-    def a(self, x: str, y: str) -> bool:
-        return evaluate(self.model, Atom(Functor.A, x, y))
-
-    def i(self, x: str, y: str) -> bool:
-        return evaluate(self.model, Atom(Functor.I, x, y))
-
-    def eps(self, x: str, y: str) -> bool:
-        return evaluate(self.model, Atom(Functor.EPS, x, y))
-
-
-def filters_of(diagram: Diagram) -> list[frozenset[str]]:
-    """Nonempty letter sets closed under the a-facts and pairwise i-related."""
-    vocab = diagram.vocab
-    out = []
-    for bits in range(1, 1 << len(vocab)):
-        subset = frozenset(v for j, v in enumerate(vocab) if bits >> j & 1)
-        if all(
-            all(other in subset for other in vocab if diagram.a(member, other))
-            and all(diagram.i(member, other) for other in subset)
-            for member in subset
-        ):
-            out.append(subset)
-    return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
-
-
-def congruence_classes(diagram: Diagram) -> dict[str, frozenset[str]]:
-    """Blocks of the mutual-a relation over the vocabulary."""
+def congruence_classes(structure: RelationalStructure) -> dict[str, frozenset[str]]:
+    """Blocks of the mutual-A relation over the carrier."""
     blocks: dict[str, frozenset[str]] = {}
-    for letter in diagram.vocab:
+    for letter in structure.carrier:
         blocks[letter] = frozenset(
             other
-            for other in diagram.vocab
-            if diagram.a(letter, other) and diagram.a(other, letter)
+            for other in structure.carrier
+            if structure.a(letter, other) and structure.a(other, letter)
         )
     return blocks
 
@@ -302,26 +269,29 @@ def canonical_model(
         raise ValueError(f"unknown method {method!r}")
     if force_nonmono and system == "SHIS":
         raise ValueError("the non-singleton variant applies to SH and LUK only")
-    diagram = Diagram(model, vocab if vocab is not None else model.denotation.keys())
-    if system == "LUK" and not in_class(model, ModelClass.TRADITIONAL, diagram.vocab):
+    vocab = tuple(sorted(set(vocab if vocab is not None else model.denotation.keys())))
+    if system == "LUK" and not in_class(model, ModelClass.TRADITIONAL, vocab):
         raise ValueError("LUK canonical models need a traditional backing model")
+    if not vocab:
+        return Model(frozenset(), {})  # no letters, so no atomic facts to rebuild
+    diagram = structure_from_model(model, vocab, with_eps=system == "SHIS")
     if method == "filters":
         return _canonical_filters(diagram, system, force_nonmono)
     return _canonical_pairs(diagram, system, force_nonmono)
 
 
-def _canonical_filters(diagram: Diagram, system: str, force_nonmono: bool) -> Model:
-    filters = filters_of(diagram)
+def _canonical_filters(diagram: RelationalStructure, system: str, force_nonmono: bool) -> Model:
+    filters = i_sets(diagram)
     filter_elements = {f: _filter_name(f) for f in filters}
     shis_like = system == "SHIS" or force_nonmono
     letter_elements = (
-        {v: _letter_name(v) for v in diagram.vocab if diagram.i(v, v)} if shis_like else {}
+        {v: _letter_name(v) for v in diagram.carrier if diagram.i(v, v)} if shis_like else {}
     )
     universe = set(filter_elements.values()) | set(letter_elements.values())
     denotation = {}
-    for letter in diagram.vocab:
+    for letter in diagram.carrier:
         extent = {name for f, name in filter_elements.items() if letter in f}
-        if shis_like and not (system == "SHIS" and diagram.eps(letter, letter)):
+        if shis_like and not (system == "SHIS" and diagram.e(letter, letter)):
             extent |= {
                 name
                 for member, name in letter_elements.items()
@@ -331,8 +301,8 @@ def _canonical_filters(diagram: Diagram, system: str, force_nonmono: bool) -> Mo
     return Model(frozenset(universe), denotation)
 
 
-def _canonical_pairs(diagram: Diagram, system: str, force_nonmono: bool) -> Model:
-    vocab = diagram.vocab
+def _canonical_pairs(diagram: RelationalStructure, system: str, force_nonmono: bool) -> Model:
+    vocab = diagram.carrier
     pairs = {
         frozenset((m, q))
         for m, q in itertools.product(vocab, repeat=2)
@@ -356,7 +326,7 @@ def _canonical_pairs(diagram: Diagram, system: str, force_nonmono: bool) -> Mode
     )
     denotation = {}
     for letter in vocab:
-        if system == "SHIS" and diagram.eps(letter, letter):
+        if system == "SHIS" and diagram.e(letter, letter):
             extent = {
                 name
                 for member, name in block_elements.items()

@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterable, Mapping
 
-from .core import Atom, Formula, Functor, Neg
+from .core import Atom, Formula, Functor, truth
 
 
 @dataclass(frozen=True)
@@ -77,19 +78,7 @@ def atom_true(model: Model, atom: Atom) -> bool:
 
 def evaluate(model: Model, formula: Formula) -> bool:
     """Truth of a formula in a model; connectives are classical."""
-    if isinstance(formula, Atom):
-        return atom_true(model, formula)
-    if isinstance(formula, Neg):
-        return not evaluate(model, formula.operand)
-    left = evaluate(model, formula.left)
-    right = evaluate(model, formula.right)
-    if formula.op == "&":
-        return left and right
-    if formula.op == "|":
-        return left or right
-    if formula.op == "->":
-        return (not left) or right
-    return left == right
+    return truth(formula, partial(atom_true, model))
 
 
 def in_class(model: Model, cls: ModelClass, vocab: Iterable[str]) -> bool:

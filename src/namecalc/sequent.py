@@ -23,13 +23,13 @@ from .core import (
     Formula,
     Functor,
     Neg,
-    distinct_atoms,
+    conj,
     imp,
-    match_schema,
+    match_atoms,
     substitute,
 )
 from .parser import format_formula
-from .proof import CheckReport, GuardExceeded
+from .proof import CheckReport, GuardExceeded, is_cpl_tautology
 from .proofscript import (
     CplConsequenceAxiom,
     Cut,
@@ -46,39 +46,18 @@ from .proofscript import (
 )
 from .systems import SCHEMAS, a, e, i
 
-CPL_ATOM_LIMIT = 20
+
+def implication(premises: Iterable[Formula], conclusion: Formula) -> Formula:
+    """The implication from the conjunction of the premises, in canonical
+    sorted order, to the conclusion; the bare conclusion when there are none."""
+    parts = sorted(premises, key=format_formula)
+    return imp(conj(*parts), conclusion) if parts else conclusion
 
 
 def cpl_consequence(premises: Iterable[Formula], conclusion: Formula) -> bool:
     """Propositional consequence: every Boolean assignment to the distinct
     atoms making all premises true makes the conclusion true."""
-    premises = list(premises)
-    atoms: dict[Atom, None] = {}
-    for formula in premises + [conclusion]:
-        for atom in distinct_atoms(formula):
-            atoms.setdefault(atom)
-    if len(atoms) > CPL_ATOM_LIMIT:
-        raise GuardExceeded(f"{len(atoms)} distinct atoms exceed the guard")
-    names = list(atoms)
-    for values in itertools.product((False, True), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if all(_truth(p, assignment) for p in premises) and not _truth(conclusion, assignment):
-            return False
-    return True
-
-
-def _truth(formula: Formula, assignment: dict[Atom, bool]) -> bool:
-    if isinstance(formula, Atom):
-        return assignment[formula]
-    if isinstance(formula, Neg):
-        return not _truth(formula.operand, assignment)
-    left, right = _truth(formula.left, assignment), _truth(formula.right, assignment)
-    return {
-        "&": left and right,
-        "|": left or right,
-        "->": (not left) or right,
-        "<->": left == right,
-    }[formula.op]
+    return is_cpl_tautology(implication(premises, conclusion))
 
 
 def _definition_sequents(name: str) -> dict[str, Sequent]:
@@ -123,25 +102,11 @@ def _apply_subst(sequent: Sequent, subst: dict[str, str]) -> Sequent:
 
 def _match_axiom_sequent(pattern: Sequent, stated: Sequent) -> Optional[dict[str, str]]:
     """Find a substitution sending the pattern sequent onto the stated one."""
-    base = match_schema(pattern.conclusion, stated.conclusion)
-    if base is None:
-        return None
     pattern_premises = sorted(pattern.premises, key=format_formula)
     for assignment in itertools.product(stated.premises, repeat=len(pattern_premises)):
-        subst = dict(base)
-        ok = True
-        for pat, target in zip(pattern_premises, assignment):
-            found = match_schema(pat, target)
-            if found is None:
-                ok = False
-                break
-            for letter, value in found.items():
-                if subst.setdefault(letter, value) != value:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and _apply_subst(pattern, subst) == stated:
+        pairs = [(pattern.conclusion, stated.conclusion), *zip(pattern_premises, assignment)]
+        subst = match_atoms(pairs)
+        if subst is not None and _apply_subst(pattern, subst) == stated:
             return subst
     return None
 
@@ -588,14 +553,9 @@ def _match_rule(rule_id: int, conclusions: list[Atom]) -> Optional[Atom]:
     patterns, target = INFERENCE_RULES[rule_id]
     if len(patterns) != len(conclusions):
         return None
-    subst: dict[str, str] = {}
-    for pattern, candidate in zip(patterns, conclusions):
-        found = match_schema(pattern, candidate)
-        if found is None:
-            return None
-        for letter, value in found.items():
-            if subst.setdefault(letter, value) != value:
-                return None
+    subst = match_atoms(list(zip(patterns, conclusions)))
+    if subst is None:
+        return None
     result = substitute(target, subst)
     assert isinstance(result, Atom)
     return result
@@ -648,25 +608,3 @@ def check_smiley_deduction(script: DeductionScript) -> CheckReport:
             return CheckReport.failure(line.index, f"unknown justification {j!r}")
         proved[line.index] = claim
     return CheckReport(True)
-
-
-def claim_implication(claim: DeductionClaim) -> Formula:
-    """The implication corresponding to a deduction claim, premises in the
-    canonical sorted order."""
-    parts = sorted(claim.premises, key=format_formula)
-    antecedent = parts[0]
-    for part in parts[1:]:
-        antecedent = Bin("&", antecedent, part)
-    return imp(antecedent, claim.conclusion)
-
-
-def sequent_implication(sequent: Sequent) -> Formula:
-    """The implication corresponding to a sequent (conjunction of premises in
-    canonical sorted order, or the bare conclusion when there are none)."""
-    if not sequent.premises:
-        return sequent.conclusion
-    parts = sorted(sequent.premises, key=format_formula)
-    antecedent = parts[0]
-    for part in parts[1:]:
-        antecedent = Bin("&", antecedent, part)
-    return imp(antecedent, sequent.conclusion)

@@ -110,12 +110,6 @@ class SystemSpec:
     def model_class(self) -> ModelClass:
         return self.model_classes[0]
 
-    def schema(self, name: str) -> AxiomSchema | None:
-        for schema in self.axioms + self.definitions + self.extension_definitions:
-            if schema.name == name:
-                return schema
-        return None
-
 
 def _schemas(*names: str) -> tuple[AxiomSchema, ...]:
     return tuple(SCHEMAS[n] for n in names)

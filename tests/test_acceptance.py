@@ -30,7 +30,7 @@ from namecalc.sequent import (
     check_expansion,
     check_sequent_proof,
     check_smiley_deduction,
-    claim_implication,
+    implication,
 )
 from namecalc.proofscript import DerivedRule, Reductio
 from namecalc.systems import SYSTEMS, system
@@ -207,7 +207,8 @@ def test_criterion_6_smiley_kernel():
         if any(isinstance(line.justification, Reductio) for line in script.lines):
             reductio_seen = True
         for line in script.lines:
-            if not is_valid(decide(claim_implication(line.claim), ModelClass.TRADITIONAL)):
+            formula = implication(line.claim.premises, line.claim.conclusion)
+            if not is_valid(decide(formula, ModelClass.TRADITIONAL)):
                 failures.append(f"{path}:{line.index} not traditional-valid")
     if not barbara_seen:
         failures.append("no plain chain deduction")

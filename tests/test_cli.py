@@ -1,6 +1,9 @@
 import json
+import sys
 
-from namecalc.cli import run
+import pytest
+
+from namecalc.cli import main, run
 from namecalc.parser import format_model, parse_model
 from namecalc.representation import format_structure, structure_from_model
 from namecalc.semantics import ModelClass, random_model
@@ -39,6 +42,19 @@ def test_decide_guard_exits_2(capsys):
 def test_decide_oracle_flag(capsys):
     code, out, _ = invoke(capsys, "decide", "a(S,P) -> i(S,P)", "--class", "trad", "--oracle", "6")
     assert code == 0 and out.strip() == "VALID"
+
+
+@pytest.mark.parametrize(
+    "formula", ["~" * 3000 + "a(S,S)", "(" * 2000 + "a(S,S)" + ")" * 2000]
+)
+def test_deep_nesting_exits_2(capsys, monkeypatch, formula):
+    refusal = (2, "", "guard: formula nests too deeply\n")
+    assert invoke(capsys, "decide", formula, "--class", "all") == refusal
+    monkeypatch.setattr(sys, "argv", ["namecalc", "decide", formula, "--class", "all"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == refusal
 
 
 def test_json_outputs_are_stable(capsys):

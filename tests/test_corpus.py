@@ -38,7 +38,7 @@ def test_script_conclusions_match_entry_formulas_byte_for_byte():
         parse_proof_script,
         parse_sequent_script,
     )
-    from namecalc.sequent import claim_implication, sequent_implication
+    from namecalc.sequent import implication
 
     for entry in corpus_entries():
         assert format_formula(parse_formula(entry.formula)) == entry.formula
@@ -47,9 +47,11 @@ def test_script_conclusions_match_entry_formulas_byte_for_byte():
             if script.path.endswith(".proof"):
                 conclusion = parse_proof_script(text).conclusion
             elif script.path.endswith(".seq"):
-                conclusion = sequent_implication(parse_sequent_script(text).lines[-1].sequent)
+                last = parse_sequent_script(text).lines[-1].sequent
+                conclusion = implication(last.premises, last.conclusion)
             else:
-                conclusion = claim_implication(parse_deduction_script(text).lines[-1].claim)
+                last = parse_deduction_script(text).lines[-1].claim
+                conclusion = implication(last.premises, last.conclusion)
             assert format_formula(conclusion) == entry.formula, (entry.name, script.path)
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namecalc.core import letters
 from namecalc.decide import Valid, decide
@@ -15,9 +16,11 @@ from namecalc.proof import (
     is_cpl_tautology,
 )
 from namecalc.semantics import ModelClass, evaluate, random_model
-from namecalc.systems import system
+from namecalc.sequent import cpl_consequence
+from namecalc.systems import SCHEMAS, system
 
-from conftest import formulas_st
+from basis_reference import reference_expand
+from conftest import LETTER_POOL, formulas_st
 
 
 def test_cpl_examples():
@@ -61,6 +64,23 @@ def test_cpl_agrees_with_a_second_evaluator(formula):
         for values in itertools.product([False, True], repeat=len(atoms))
     )
     assert is_cpl_tautology(formula) == brute
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(formulas_st(pool=("S", "P"), max_depth=2), max_size=3),
+    formulas_st(pool=("S", "P"), max_depth=3),
+)
+def test_cpl_consequence_agrees_with_a_second_evaluator(premises, conclusion):
+    from namecalc.core import distinct_atoms
+
+    atoms = list({atom for formula in [*premises, conclusion] for atom in distinct_atoms(formula)})
+    brute = True
+    for values in itertools.product([False, True], repeat=len(atoms)):
+        assignment = dict(zip(atoms, values))
+        if all(_truth_by_dict(p, assignment) for p in premises):
+            brute = brute and _truth_by_dict(conclusion, assignment)
+    assert cpl_consequence(premises, conclusion) == brute
 
 
 CONVERSION_SCRIPT = """
@@ -166,6 +186,38 @@ def test_expand_idempotent_on_basis():
     ]:
         formula = parse_formula(text)
         assert expand_definitions(formula, basis) == formula
+
+
+def test_each_derived_functor_has_one_definition():
+    from namecalc.core import Functor
+
+    defined = [s.pattern.left.functor for name, s in SCHEMAS.items() if name.startswith("df")]
+    assert len(defined) == len(set(defined)) == 12
+    assert set(Functor) - set(defined) == {Functor.I, Functor.EPS}
+
+
+def test_expand_matches_the_hand_written_rewriters():
+    from namecalc.core import Atom, Functor
+    from namecalc.parser import format_formula
+
+    for functor in Functor:
+        for s, p in itertools.product(LETTER_POOL, repeat=2):
+            atom = Atom(functor, s) if functor.arity == 1 else Atom(functor, s, p)
+            for basis in Basis:
+                assert format_formula(expand_definitions(atom, basis)) == format_formula(
+                    reference_expand(atom, basis)
+                ), (atom, basis)
+
+
+@settings(max_examples=250)
+@given(formulas_st(max_depth=4))
+def test_expand_matches_the_hand_written_rewriters_on_formulas(formula):
+    from namecalc.parser import format_formula
+
+    for basis in Basis:
+        assert format_formula(expand_definitions(formula, basis)) == format_formula(
+            reference_expand(formula, basis)
+        )
 
 
 def _basis_atoms(formula, basis):

@@ -5,13 +5,11 @@ import pytest
 from namecalc.core import Atom, Functor
 from namecalc.parser import parse_model
 from namecalc.representation import (
-    Diagram,
     RelationalStructure,
     atomic_agreement,
     bracket,
     canonical_model,
     congruence_classes,
-    filters_of,
     format_structure,
     i_sets,
     parse_structure,
@@ -105,8 +103,8 @@ def test_structure_json_round_trip():
 def test_filter_conditions_from_the_diagram():
     for seed in range(60):
         model = random_model(seed, VOCAB3, ModelClass.ALL, 4)
-        diagram = Diagram(model, VOCAB3)
-        filters = set(filters_of(diagram))
+        diagram = structure_from_model(model, VOCAB3)
+        filters = set(i_sets(diagram))
         for s, p in itertools.product(VOCAB3, repeat=2):
             if diagram.i(s, p):
                 designated = frozenset(
@@ -121,7 +119,7 @@ def test_filter_conditions_from_the_diagram():
 def test_congruence_blocks_are_a_congruence_for_every_functor():
     for seed in range(40):
         model = random_model(seed, VOCAB3, ModelClass.ALL, 4)
-        diagram = Diagram(model, VOCAB3)
+        diagram = structure_from_model(model, VOCAB3)
         blocks = congruence_classes(diagram)
         for letter in VOCAB3:
             assert letter in blocks[letter]

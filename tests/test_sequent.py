@@ -15,10 +15,9 @@ from namecalc.sequent import (
     check_expansion,
     check_sequent_proof,
     check_smiley_deduction,
-    claim_implication,
     contradictory,
     cpl_consequence,
-    sequent_implication,
+    implication,
 )
 from namecalc.systems import system
 
@@ -99,8 +98,8 @@ def test_sequent_soundness_over_the_corpus_files():
         report = check_sequent_proof(script)
         assert report.accepted, path.name
         for line in script.lines:
-            implication = sequent_implication(line.sequent)
-            assert isinstance(decide(implication, ModelClass.TRADITIONAL), Valid), (
+            formula = implication(line.sequent.premises, line.sequent.conclusion)
+            assert isinstance(decide(formula, ModelClass.TRADITIONAL), Valid), (
                 path.name,
                 line.index,
             )
@@ -140,8 +139,8 @@ def test_smiley_barbara_and_reductio_deductions():
         report = check_smiley_deduction(script)
         assert report.accepted, name
         for line in script.lines:
-            implication = claim_implication(line.claim)
-            assert isinstance(decide(implication, ModelClass.TRADITIONAL), Valid)
+            formula = implication(line.claim.premises, line.claim.conclusion)
+            assert isinstance(decide(formula, ModelClass.TRADITIONAL), Valid)
 
 
 def test_reductio_with_mismatched_pair_is_rejected():
