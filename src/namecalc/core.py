@@ -11,7 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Optional, Union
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 
 class Functor(Enum):
@@ -118,22 +120,39 @@ def distinct_atoms(formula: Formula) -> list[Atom]:
     return list(seen)
 
 
-def truth(formula: Formula, leaf: Callable[[Atom], bool]) -> bool:
-    """Classical truth of a formula given the truth of its atoms; the right
-    operand is evaluated only when the left one does not settle the value."""
+def truth(formula: Formula, leaf: Callable[[Atom], Any], full: Any = 1) -> Any:
+    """Classical truth of a formula, folded bitwise over the values of its
+    atoms: sets of rows, one bit per row, with `full` the set of all rows:
+    1 for scalar truth, an int of 2^n ones for a table, True for numpy bools."""
     if isinstance(formula, Atom):
         return leaf(formula)
     if isinstance(formula, Neg):
-        return not truth(formula.operand, leaf)
-    left = truth(formula.left, leaf)
+        return full ^ truth(formula.operand, leaf, full)
+    left = truth(formula.left, leaf, full)
+    right = truth(formula.right, leaf, full)
     op = formula.op
     if op == "&":
-        return left and truth(formula.right, leaf)
+        return left & right
     if op == "|":
-        return left or truth(formula.right, leaf)
+        return left | right
     if op == "->":
-        return not left or truth(formula.right, leaf)
-    return left == truth(formula.right, leaf)
+        return full ^ left | right
+    return full ^ left ^ right
+
+
+@lru_cache(maxsize=None)
+def digit_columns(base: int, digits: int) -> tuple[tuple[int, ...], ...]:
+    """The table of all `digits`-digit base-`base` numerals, row i for the
+    numeral i: ``columns[d][v - 1]`` has bit i set when digit d of i (0 the
+    least significant) is v, for each v >= 1.  A top digit repeats the table."""
+    if digits == 0:
+        return ()
+    width = base ** (digits - 1)
+    lower = tuple(
+        tuple(reduce(or_, (rows << k * width for k in range(base))) for rows in by_value)
+        for by_value in digit_columns(base, digits - 1)
+    )
+    return lower + (tuple(((1 << width) - 1) << v * width for v in range(1, base)),)
 
 
 def substitute(formula: Formula, subst: Substitution) -> Formula:

@@ -1,10 +1,14 @@
 """Validity decision over the four model classes, with countermodel extraction.
 
-The decision procedure abstracts a model over k letters into a labeling of
-the 2^k overlap regions by a cardinality type.  Truth of every functor
-depends only on those labels: the singular-copula family (eps, neps, ideq)
-needs the three-way split Zero/One/Many, everything else only needs
-Zero/NonEmpty, which halves the search alphabet.  An independent brute-force
+A model over k letters is abstracted to a labeling of its 2^k overlap regions
+by cardinality: Zero/NonEmpty, or Zero/One/Many when the singular-copula
+family (eps, neps, ideq) occurs, since truth of every functor depends only on
+those labels.  ``decide`` evaluates truth tables of labelings: a set of
+labelings is a Python int, bit i for the i-th labeling in lexicographic order
+(region 0 slowest), and the bitwise fold ``core.truth`` evaluates a whole
+table at once.  The first falsifying labeling in that order, realized, is the
+countermodel.  Formulas take up to LETTER_LIMIT letters, or
+SINGULAR_LETTER_LIMIT with the singular copula.  An independent brute-force
 oracle enumerates raw denotation assignments over a fixed universe.
 """
 
@@ -13,12 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
-from typing import Optional, Union
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .core import Atom, Formula, Functor, Neg, distinct_atoms, letters, truth
+from .core import Atom, Formula, Functor, digit_columns, distinct_atoms, letters, truth
 from .semantics import _UNIVERSE_MINIMUM, Model, ModelClass, evaluate, in_class
 
 
@@ -28,23 +31,9 @@ class Card(IntEnum):
     MANY = 2
 
 
-DEFAULT_CAP = 4
-
-
-@dataclass(frozen=True)
-class RegionLabeling:
-    """Cardinality labels for the 2^k overlap regions of k letters.
-
-    Region r (a bitmask over vocab positions) stands for the elements lying
-    inside exactly the denotations whose bits are set in r.
-    """
-
-    vocab: tuple[str, ...]
-    labels: tuple[Card, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != 1 << len(self.vocab):
-            raise ValueError("need one label per region")
+LETTER_LIMIT = 5
+SINGULAR_LETTER_LIMIT = 4
+TABLE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,52 +48,30 @@ class Countermodel:
 
 Verdict = Union[Valid, Countermodel]
 
-def _letter_sizes(labeling: RegionLabeling, many_size: int = 2) -> list[int]:
-    weights = [0, 1, many_size]
-    sizes = [0] * len(labeling.vocab)
-    for region, label in enumerate(labeling.labels):
-        w = weights[label]
-        if not w:
-            continue
-        for j in range(len(labeling.vocab)):
-            if region >> j & 1:
-                sizes[j] += w
-    return sizes
 
-
-def _class_admits(labeling: RegionLabeling, cls: ModelClass) -> bool:
-    if cls is ModelClass.ALL:
-        return True
-    sizes = _letter_sizes(labeling)
-    if cls is ModelClass.TRADITIONAL:
-        return all(s >= 1 for s in sizes)
-    if cls is ModelClass.POLYREFERENTIAL:
-        return all(s >= 2 for s in sizes)
-    return all(s == 0 or s >= 2 for s in sizes)
-
-
-def realize(labeling: RegionLabeling, cls: ModelClass, many_size: int = 2) -> Optional[Model]:
-    """Build a witness model: Zero regions get 0 elements, One regions 1,
-    Many regions many_size; the universe is padded with fresh elements up to
-    the class minimum.  None when some letter breaks the class constraint."""
-    if not _class_admits(labeling, cls):
-        return None
+def realize(
+    vocab: Sequence[str], labels: Sequence[Card], cls: ModelClass, many_size: int = 2
+) -> Optional[Model]:
+    """A witness model from one label per region r, a bitmask over vocab
+    positions: Zero regions get 0 elements, One regions 1, Many regions
+    many_size, each inside exactly the denotations of r's letters; fresh
+    elements pad the universe to the class minimum.  None if not in cls."""
+    if len(labels) != 1 << len(vocab):
+        raise ValueError("need one label per region")
     weights = [0, 1, many_size]
     universe: list[str] = []
-    extents: list[set[str]] = [set() for _ in labeling.vocab]
-    for region, label in enumerate(labeling.labels):
+    extents: list[set[str]] = [set() for _ in vocab]
+    for region, label in enumerate(labels):
         for k in range(weights[label]):
             element = f"r{region}_{k}"
             universe.append(element)
-            for j in range(len(labeling.vocab)):
+            for j in range(len(vocab)):
                 if region >> j & 1:
                     extents[j].add(element)
-    pad = 0
-    while len(universe) < _UNIVERSE_MINIMUM[cls]:
-        universe.append(f"pad{pad}")
-        pad += 1
-    denotation = {v: frozenset(extents[j]) for j, v in enumerate(labeling.vocab)}
-    return Model(frozenset(universe), denotation)
+    universe += [f"pad{k}" for k in range(_UNIVERSE_MINIMUM[cls] - len(universe))]
+    denotation = {v: frozenset(extents[j]) for j, v in enumerate(vocab)}
+    model = Model(frozenset(universe), denotation)
+    return model if in_class(model, cls, vocab) else None
 
 
 _EPS_FAMILY = (Functor.EPS, Functor.NEPS, Functor.IDEQ)
@@ -114,91 +81,93 @@ def needs_three_labels(formula: Formula) -> bool:
     return any(atom.functor in _EPS_FAMILY for atom in distinct_atoms(formula))
 
 
-def _compile_atom(atom: Atom, index: dict[str, int], regions: int):
-    """Compile an atom to a predicate over (labels, sizes); agrees with
-    evaluate over realize, since truth only needs the region cardinalities."""
-    s = index[atom.subject]
-    f = atom.functor
-    if f is Functor.EX:
-        return lambda labels, sizes: sizes[s] > 0
-    p = index[atom.predicate]
-    diff = tuple(r for r in range(regions) if r >> s & 1 and not r >> p & 1)
-    meet = tuple(r for r in range(regions) if r >> s & 1 and r >> p & 1)
-    split = tuple(r for r in range(regions) if (r >> s & 1) != (r >> p & 1))
-    if f is Functor.A:
-        return lambda labels, sizes: not any(labels[r] for r in diff)
-    if f is Functor.O:
-        return lambda labels, sizes: any(labels[r] for r in diff)
-    if f is Functor.KA:
-        return lambda labels, sizes: sizes[s] > 0 and not any(labels[r] for r in diff)
-    if f is Functor.OT:
-        return lambda labels, sizes: not (sizes[s] > 0 and not any(labels[r] for r in diff))
-    if f is Functor.I:
-        return lambda labels, sizes: any(labels[r] for r in meet)
-    if f is Functor.E:
-        return lambda labels, sizes: not any(labels[r] for r in meet)
-    if f is Functor.KE:
-        return lambda labels, sizes: sizes[s] > 0 and not any(labels[r] for r in meet)
-    if f is Functor.KKE:
-        return lambda labels, sizes: (
-            sizes[s] > 0 and sizes[p] > 0 and not any(labels[r] for r in meet)
-        )
-    if f is Functor.CEQ:
-        return lambda labels, sizes: not any(labels[r] for r in split)
-    if f is Functor.DEQ:
-        return lambda labels, sizes: sizes[s] > 0 and not any(labels[r] for r in split)
-    if f is Functor.EPS:
-        return lambda labels, sizes: sizes[s] == 1 and not any(labels[r] for r in diff)
-    if f is Functor.NEPS:
-        return lambda labels, sizes: sizes[s] == 1 and not any(labels[r] for r in meet)
-    if f is Functor.IDEQ:
-        return lambda labels, sizes: sizes[s] == 1 and not any(labels[r] for r in split)
-    raise AssertionError(f)
-
-
 class CapExceeded(ValueError):
     pass
 
 
-def decide(formula: Formula, cls: ModelClass, cap: int = DEFAULT_CAP) -> Verdict:
-    """Valid, or the first countermodel in the fixed labeling enumeration.
-
-    Labelings are enumerated lexicographically over regions (region 0 varies
-    slowest) with Zero < One < Many; the first class-admissible labeling that
-    falsifies the formula is realized and returned.
-    """
+def decide(formula: Formula, cls: ModelClass) -> Verdict:
+    """Valid, or the first countermodel in the lexicographic labeling order:
+    the first class-admissible labeling that falsifies the formula, realized."""
     vocab = tuple(sorted(letters(formula)))
     three = needs_three_labels(formula)
-    limit = cap if three else cap + 1
+    limit = SINGULAR_LETTER_LIMIT if three else LETTER_LIMIT
     if len(vocab) > limit:
         raise CapExceeded(f"{len(vocab)} letters exceed the cap ({limit})")
-    index = {v: j for j, v in enumerate(vocab)}
-    regions = 1 << len(vocab)
     alphabet = (Card.ZERO, Card.ONE, Card.MANY) if three else (Card.ZERO, Card.MANY)
-    letter_regions = [
-        tuple(r for r in range(regions) if r >> j & 1) for j in range(len(vocab))
-    ]
-    compiled = {atom: _compile_atom(atom, index, regions) for atom in distinct_atoms(formula)}
-
-    def leaf(atom: Atom) -> bool:
-        return compiled[atom](labels, sizes)
-
-    for labels in itertools.product(alphabet, repeat=regions):
-        sizes = [sum(labels[r] for r in mine) for mine in letter_regions]
-        if cls is ModelClass.TRADITIONAL:
-            if any(s < 1 for s in sizes):
-                continue
-        elif cls is ModelClass.POLYREFERENTIAL:
-            if any(s < 2 for s in sizes):
-                continue
-        elif cls is ModelClass.NON_MONOREFERENTIAL:
-            if any(s == 1 for s in sizes):
-                continue
-        if not truth(formula, leaf):
-            model = realize(RegionLabeling(vocab, labels), cls)
+    base = len(alphabet)
+    regions = 1 << len(vocab)
+    spanned = max((t for t in range(1, regions + 1) if base**t <= TABLE_ROWS), default=1)
+    full = (1 << base**spanned) - 1
+    # A table spans the last regions, its rows' digits from the most
+    # significant down, each the index of a label in the alphabet.  The first
+    # regions' labels are fixed per table, taken in lexicographic order too.
+    columns = digit_columns(base, spanned)[::-1]
+    spanned_nonempty = [reduce(or_, column) for column in columns]
+    spanned_one = [column[0] if three else 0 for column in columns]
+    for head in itertools.product(alphabet, repeat=regions - spanned):
+        nonempty = [full if label else 0 for label in head] + spanned_nonempty
+        one = [full if label is Card.ONE else 0 for label in head] + spanned_one
+        failing = _failing_rows(formula, cls, vocab, nonempty, one, full)
+        if failing:
+            row = (failing & -failing).bit_length() - 1
+            digits = (row // base**d % base for d in reversed(range(spanned)))
+            model = realize(vocab, head + tuple(alphabet[d] for d in digits), cls)
             assert model is not None
             return Countermodel(model)
     return Valid()
+
+
+def _failing_rows(formula: Formula, cls: ModelClass, vocab: tuple[str, ...],
+                  nonempty: list[int], one: list[int], full: int) -> int:
+    """The rows of one table that are in the class and falsify the formula,
+    from the rows where each region's label is nonempty and where it is One."""
+    regions = range(len(nonempty))
+    has, single, admissible = [], [], full
+    for j in range(len(vocab)):
+        # seen: some region of letter j is nonempty; two: at least two are.
+        seen = two = ones = 0
+        for r in regions:
+            if r >> j & 1:
+                two |= seen & nonempty[r]
+                seen |= nonempty[r]
+                ones |= one[r]
+        has.append(seen)
+        single.append(ones & ~two)  # exactly one nonempty region, and it is One
+        if cls is ModelClass.TRADITIONAL:
+            admissible &= seen
+        elif cls is ModelClass.POLYREFERENTIAL:
+            admissible &= seen & ~single[j]
+        elif cls is ModelClass.NON_MONOREFERENTIAL:
+            admissible &= ~single[j]
+    index = {v: j for j, v in enumerate(vocab)}
+
+    def rows(atom: Atom) -> int:
+        s, f = index[atom.subject], atom.functor
+        if f is Functor.EX:
+            return has[s]
+        p = index[atom.predicate]
+        # The regions it needs empty: S outside P, S inside P, or S and P apart.
+        if f in (Functor.A, Functor.O, Functor.KA, Functor.OT, Functor.EPS):
+            zero = (r for r in regions if r >> s & 1 and not r >> p & 1)
+        elif f in (Functor.E, Functor.I, Functor.KE, Functor.KKE, Functor.NEPS):
+            zero = (r for r in regions if r >> s & 1 and r >> p & 1)
+        else:
+            zero = (r for r in regions if (r >> s ^ r >> p) & 1)
+        empty = full ^ reduce(or_, (nonempty[r] for r in zero), 0)
+        if f in (Functor.A, Functor.E, Functor.CEQ):
+            return empty
+        if f in (Functor.O, Functor.I):
+            return full ^ empty
+        if f in (Functor.KA, Functor.KE, Functor.DEQ):
+            return has[s] & empty
+        if f is Functor.OT:
+            return full ^ (has[s] & empty)
+        if f is Functor.KKE:
+            return has[s] & has[p] & empty
+        return single[s] & empty
+
+    values = {atom: rows(atom) for atom in distinct_atoms(formula)}
+    return admissible & ~truth(formula, values.__getitem__, full)
 
 
 # Brute-force oracle: denotations as bitmasks over a fixed universe, all
@@ -213,6 +182,7 @@ def _oracle_tables(count: int, max_universe: int):
     """Shared read-only denotation-mask and popcount columns for an assignment
     enumeration over `count` letters.  uint8 holds every mask, since the
     universe has at most 8 elements."""
+    import numpy as np  # only the oracle needs numpy, so only it pays the import
     subsets = 1 << max_universe
     masks_of = np.arange(subsets, dtype=np.uint8)
     pops_of = np.array([bin(x).count("1") for x in range(subsets)], dtype=np.uint8)
@@ -226,7 +196,7 @@ def _oracle_tables(count: int, max_universe: int):
     return tuple(masks), tuple(pops)
 
 
-def _oracle_atom(atom: Atom, masks: dict[str, np.ndarray], pops: dict[str, np.ndarray]):
+def _oracle_atom(atom: Atom, masks, pops):
     ds, ps = masks[atom.subject], pops[atom.subject]
     f = atom.functor
     if f is Functor.EX:
@@ -261,22 +231,6 @@ def _oracle_atom(atom: Atom, masks: dict[str, np.ndarray], pops: dict[str, np.nd
     raise AssertionError(f)
 
 
-def _oracle_eval(formula: Formula, masks, pops) -> np.ndarray:
-    if isinstance(formula, Atom):
-        return _oracle_atom(formula, masks, pops)
-    if isinstance(formula, Neg):
-        return ~_oracle_eval(formula.operand, masks, pops)
-    left = _oracle_eval(formula.left, masks, pops)
-    right = _oracle_eval(formula.right, masks, pops)
-    if formula.op == "&":
-        return left & right
-    if formula.op == "|":
-        return left | right
-    if formula.op == "->":
-        return ~left | right
-    return left == right
-
-
 def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdict:
     """Exhaustive check over every denotation assignment into a fixed universe
     of size max_universe; the first falsifying in-class assignment wins.
@@ -284,6 +238,7 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     Enumeration is lexicographic over the letter tuple (first letter varies
     slowest) with denotations ordered as little-endian element bitmasks.
     """
+    import numpy as np
     vocab = tuple(sorted(letters(formula)))
     if len(vocab) > ORACLE_MAX_LETTERS:
         raise CapExceeded(f"oracle is limited to {ORACLE_MAX_LETTERS} letters")
@@ -307,11 +262,7 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
         else:
             for letter in vocab:
                 admissible &= pops[letter] != 1
-    truths = (
-        _oracle_eval(formula, masks, pops)
-        if vocab
-        else np.full(total, evaluate(Model(frozenset(f"u{k}" for k in range(max_universe))), formula))
-    )
+    truths = truth(formula, lambda atom: _oracle_atom(atom, masks, pops), True)
     failing = np.nonzero(admissible & ~truths)[0]
     if failing.size == 0:
         return Valid()

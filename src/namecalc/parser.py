@@ -352,17 +352,26 @@ def format_deduction_claim(claim: DeductionClaim) -> str:
 
 # Models: JSON object {"universe": [...], "denotation": {letter: [...]}}.
 
-def parse_model(text: str) -> Model:
+def decode_json(text: str) -> tuple[object, SourceSpan]:
+    """The decoded value, and the span of the whole text for content errors."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"bad JSON: {err.msg}", SourceSpan(err.pos, err.pos + 1)) from None
-    span = SourceSpan(0, len(text))
+    return payload, SourceSpan(0, len(text))
+
+
+def is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def parse_model(text: str) -> Model:
+    payload, span = decode_json(text)
     if not isinstance(payload, dict) or set(payload) != {"universe", "denotation"}:
         raise ParseError("model needs exactly the keys universe and denotation", span)
     universe = payload["universe"]
     denotation = payload["denotation"]
-    if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
+    if not is_string_list(universe):
         raise ParseError("universe must be a list of strings", span)
     if len(set(universe)) != len(universe):
         raise ParseError("duplicate universe element", span)
@@ -372,7 +381,7 @@ def parse_model(text: str) -> Model:
     for letter, extension in denotation.items():
         if not is_letter(letter):
             raise ParseError(f"bad name letter {letter!r}", span)
-        if not isinstance(extension, list) or not all(isinstance(u, str) for u in extension):
+        if not is_string_list(extension):
             raise ParseError(f"denotation of {letter} must be a list of strings", span)
         unknown = set(extension) - set(universe)
         if unknown:

@@ -20,6 +20,7 @@ from .core import (
     Formula,
     Functor,
     Neg,
+    digit_columns,
     distinct_atoms,
     match_schema,
     substitute,
@@ -48,11 +49,10 @@ def is_cpl_tautology(formula: Formula) -> bool:
     atoms = distinct_atoms(formula)
     if len(atoms) > CPL_ATOM_LIMIT:
         raise GuardExceeded(f"{len(atoms)} distinct atoms exceed the truth-table guard")
-    position = {atom: k for k, atom in enumerate(atoms)}
-    return all(
-        truth(formula, lambda atom: bits >> position[atom] & 1 == 1)
-        for bits in range(1 << len(atoms))
-    )
+    columns = digit_columns(2, len(atoms))
+    column = {atom: columns[k][0] for k, atom in enumerate(atoms)}
+    full = (1 << (1 << len(atoms))) - 1
+    return truth(formula, column.__getitem__, full) == full
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Atom, Functor
+from .parser import ParseError, decode_json, is_string_list
 from .semantics import Model, ModelClass, evaluate, in_class
 
 
@@ -189,14 +190,32 @@ def structure_from_model(model: Model, vocab: Iterable[str], with_eps: bool = Tr
 
 
 def parse_structure(text: str) -> RelationalStructure:
-    payload = json.loads(text)
-    eps = payload.get("eps")
-    return RelationalStructure(
-        tuple(payload["carrier"]),
-        frozenset((x, y) for x, y in payload["A"]),
-        frozenset((x, y) for x, y in payload["I"]),
-        frozenset((x, y) for x, y in eps) if eps is not None else None,
-    )
+    """A structure from a JSON object with the keys carrier, A and I and an
+    optional eps: the carrier a list of distinct strings, each relation a list
+    of pairs of carrier elements."""
+    payload, span = decode_json(text)
+    if not isinstance(payload, dict) or not (
+        {"carrier", "A", "I"} <= set(payload) <= {"carrier", "A", "I", "eps"}
+    ):
+        raise ParseError("structure needs the keys carrier, A and I, and optionally eps", span)
+    if not is_string_list(payload["carrier"]):
+        raise ParseError("carrier must be a list of strings", span)
+
+    def relation(name: str) -> frozenset[tuple[str, str]]:
+        pairs = payload[name]
+        if not isinstance(pairs, list) or not all(
+            is_string_list(pair) and len(pair) == 2 for pair in pairs
+        ):
+            raise ParseError(f"{name} must be a list of pairs of strings", span)
+        return frozenset(map(tuple, pairs))
+
+    try:
+        return RelationalStructure(
+            tuple(payload["carrier"]), relation("A"), relation("I"),
+            None if payload.get("eps") is None else relation("eps"),
+        )
+    except ValueError as err:  # an empty carrier, a repeated element, a pair outside it
+        raise ParseError(str(err), span) from None
 
 
 def format_structure(structure: RelationalStructure) -> str:

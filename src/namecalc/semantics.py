@@ -78,7 +78,7 @@ def atom_true(model: Model, atom: Atom) -> bool:
 
 def evaluate(model: Model, formula: Formula) -> bool:
     """Truth of a formula in a model; connectives are classical."""
-    return truth(formula, partial(atom_true, model))
+    return bool(truth(formula, partial(atom_true, model)))
 
 
 def in_class(model: Model, cls: ModelClass, vocab: Iterable[str]) -> bool:

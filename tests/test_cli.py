@@ -126,6 +126,15 @@ def test_represent_subcommand(tmp_path, capsys):
     assert code == 0 and out.startswith("OK")
 
 
+@pytest.mark.parametrize("text", ['["x"]', '{"carrier": ["x"], "A": 5, "I": []}'])
+def test_malformed_structure_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "represent", "--kind", "b1", "--structure", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 def test_translate_subcommand(capsys):
     code, out, _ = invoke(capsys, "translate", "a(S,P)", "--to", "kai")
     assert code == 0 and out.strip() == "~ka(S,S) | ka(S,P)"

@@ -5,9 +5,11 @@ from namecalc.core import (
     Atom,
     Functor,
     compose,
+    digit_columns,
     letters,
     match_schema,
     substitute,
+    truth,
 )
 from namecalc.parser import parse_formula
 from namecalc.systems import SCHEMAS, SYSTEMS
@@ -89,3 +91,26 @@ def test_atom_validation():
         Atom(Functor.EX, "S", "P")
     with pytest.raises(ValueError):
         Atom(Functor.A, "S")
+
+
+@pytest.mark.parametrize("base, widest", [(2, 8), (3, 5)])
+def test_digit_columns_exhaustive(base, widest):
+    for digits in range(widest + 1):
+        columns = digit_columns(base, digits)
+        assert len(columns) == digits
+        for d, by_value in enumerate(columns):
+            assert len(by_value) == base - 1
+            for v, rows in enumerate(by_value, start=1):
+                expected = {i for i in range(base**digits) if i // base**d % base == v}
+                assert {i for i in range(base**digits) if rows >> i & 1} == expected
+
+
+def test_truth_over_a_table_is_truth_of_each_row():
+    formula = parse_formula("~(a(S,P) -> i(S,P)) | (e(S,P) <-> a(S,P)) & i(S,P)")
+    atoms = [parse_formula(text) for text in ("a(S,P)", "i(S,P)", "e(S,P)")]
+    columns = digit_columns(2, len(atoms))
+    table = truth(formula, {atom: columns[k][0] for k, atom in enumerate(atoms)}.__getitem__, 255)
+    for row in range(8):
+        value = truth(formula, lambda atom: row >> atoms.index(atom) & 1)
+        assert value in (0, 1)
+        assert value == table >> row & 1

@@ -1,15 +1,19 @@
+import importlib
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import formulas_st
+from decide_reference import reference_decide
 from namecalc.core import letters
 from namecalc.corpus import corpus_entries
 from namecalc.decide import (
     Card,
     CapExceeded,
     Countermodel,
-    RegionLabeling,
     Valid,
     decide,
     needs_three_labels,
@@ -18,6 +22,9 @@ from namecalc.decide import (
 )
 from namecalc.parser import format_model, parse_formula
 from namecalc.semantics import ModelClass, evaluate, in_class
+
+# The package re-exports the function decide under the module's own name.
+decide_module = importlib.import_module("namecalc.decide")
 
 
 def is_valid(verdict):
@@ -49,33 +56,36 @@ def test_singular_boundary_formula():
 
 
 def test_realize_singleton_region():
-    labeling = RegionLabeling(("S",), (Card.ZERO, Card.ONE))
-    model = realize(labeling, ModelClass.ALL)
+    labels = (Card.ZERO, Card.ONE)
+    model = realize(("S",), labels, ModelClass.ALL)
     assert len(model.of("S")) == 1
-    assert realize(labeling, ModelClass.POLYREFERENTIAL) is None
+    assert realize(("S",), labels, ModelClass.POLYREFERENTIAL) is None
 
 
 def test_realize_empty_region():
-    labeling = RegionLabeling(("S",), (Card.ZERO, Card.ZERO))
-    assert realize(labeling, ModelClass.TRADITIONAL) is None
-    model = realize(labeling, ModelClass.NON_MONOREFERENTIAL)
+    labels = (Card.ZERO, Card.ZERO)
+    assert realize(("S",), labels, ModelClass.TRADITIONAL) is None
+    model = realize(("S",), labels, ModelClass.NON_MONOREFERENTIAL)
     assert model is not None
     assert model.of("S") == frozenset()
     assert len(model.universe) >= 2  # padded to the class minimum
 
 
 def test_realize_all_many_everywhere():
-    labeling = RegionLabeling(("S", "P"), (Card.MANY,) * 4)
+    labels = (Card.MANY,) * 4
     for cls in ModelClass:
-        model = realize(labeling, cls)
+        model = realize(("S", "P"), labels, cls)
         assert model is not None
         assert in_class(model, cls, ["S", "P"])
 
 
-def _random_labeling(rng, vocab):
-    return RegionLabeling(
-        vocab, tuple(rng.choice(list(Card)) for _ in range(1 << len(vocab)))
-    )
+def test_realize_needs_one_label_per_region():
+    with pytest.raises(ValueError):
+        realize(("S", "P"), (Card.MANY,) * 2, ModelClass.ALL)
+
+
+def _random_labels(rng, vocab):
+    return tuple(rng.choice(list(Card)) for _ in range(1 << len(vocab)))
 
 
 def _random_formula(rng, pool, depth):
@@ -99,11 +109,11 @@ def test_abstraction_soundness_many_inflation():
     checked = 0
     while checked < 500:
         vocab = tuple(sorted(rng.sample(["S", "P", "M"], rng.randint(1, 3))))
-        labeling = _random_labeling(rng, vocab)
+        labels = _random_labels(rng, vocab)
         formula = _random_formula(rng, vocab, rng.randint(1, 3))
         cls = rng.choice(list(ModelClass))
-        small = realize(labeling, cls, many_size=2)
-        big = realize(labeling, cls, many_size=3)
+        small = realize(vocab, labels, cls, many_size=2)
+        big = realize(vocab, labels, cls, many_size=3)
         if small is None:
             assert big is None
             continue
@@ -204,6 +214,59 @@ def test_letter_cap():
         decide(wide, ModelClass.ALL)
     with pytest.raises(CapExceeded):
         decide(parse_formula("eps(A,B) & eps(C,D) -> eps(E,E)"), ModelClass.ALL)
+
+
+def test_four_letter_singular_chain_is_decided():
+    # 3^16 labelings, in 729 tables of 3^10 rows: valid, so every table is read.
+    formula = parse_formula("eps(S,P) & a(P,M) & a(M,Q) -> eps(S,Q)")
+    for cls in ModelClass:
+        assert is_valid(decide(formula, cls)), cls
+
+
+def _reference_output(formula, cls):
+    model = reference_decide(formula, cls)
+    return "VALID" if model is None else format_model(model)
+
+
+def _output(verdict):
+    return "VALID" if is_valid(verdict) else format_model(verdict.model)
+
+
+# The second table size splits every labeling space into many tables, so the
+# lexicographic order across tables is compared as well as within one.
+TABLE_SIZES = [decide_module.TABLE_ROWS, 1 << 4]
+
+
+@pytest.mark.parametrize("table_rows", TABLE_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(formula=st.sampled_from([("S",), ("S", "P"), ("S", "P", "M")]).flatmap(
+    lambda pool: formulas_st(pool, max_depth=4)))
+@example(formula=parse_formula("eps(S,P) & a(P,M) -> eps(S,M)"))
+@example(formula=parse_formula("eps(S,P) & e(P,M) -> neps(S,M)"))
+@example(formula=parse_formula("a(M,P) & i(S,M) -> i(S,P) & ex(M)"))
+def test_decide_matches_the_reference_enumeration(table_rows, formula):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide_module, "TABLE_ROWS", table_rows)
+        for cls in ModelClass:
+            assert _output(decide(formula, cls)) == _reference_output(formula, cls), cls
+
+
+@pytest.mark.parametrize("table_rows", TABLE_SIZES)
+def test_decide_matches_the_reference_on_four_letters(table_rows):
+    rng = random.Random(20261018)
+    pool = ("S", "P", "M", "Q")
+    checked = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide_module, "TABLE_ROWS", table_rows)
+        while checked < 8:
+            formula = _random_formula(rng, pool, 3)
+            if len(letters(formula)) != 4 or needs_three_labels(formula):
+                continue
+            for cls in ModelClass:
+                assert _output(decide(formula, cls)) == _reference_output(formula, cls), cls
+            checked += 1
+        chain = parse_formula("a(S,P) & a(P,M) & a(M,Q) -> a(S,Q)")  # every table, to the end
+        assert _output(decide(chain, ModelClass.ALL)) == _reference_output(chain, ModelClass.ALL)
 
 
 def test_oracle_examples_and_guards():

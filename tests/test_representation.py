@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from namecalc.core import Atom, Functor
-from namecalc.parser import parse_model
+from namecalc.parser import ParseError, parse_model
 from namecalc.representation import (
     RelationalStructure,
     atomic_agreement,
@@ -98,6 +98,22 @@ def test_structure_json_round_trip():
     model = random_model(3, VOCAB3, ModelClass.ALL, 3)
     structure = structure_from_model(model, VOCAB3)
     assert parse_structure(format_structure(structure)) == structure
+
+
+MALFORMED_STRUCTURES = {
+    "list": ('[["x", "x"]]', "keys carrier, A and I"),
+    "relation-number": ('{"carrier": ["x"], "A": 5, "I": []}', "A must be a list of pairs"),
+    "carrier-string": ('{"carrier": "xy", "A": [], "I": []}', "carrier must be a list of strings"),
+    "short-pair": ('{"carrier": ["x"], "A": [["x"]], "I": []}', "A must be a list of pairs"),
+    "outside-carrier": ('{"carrier": ["x"], "A": [], "I": [["x", "y"]]}', "outside the carrier"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_STRUCTURES))
+def test_malformed_structure_json_is_a_parse_error(name):
+    text, message = MALFORMED_STRUCTURES[name]
+    with pytest.raises(ParseError, match=message):
+        parse_structure(text)
 
 
 def test_filter_conditions_from_the_diagram():
