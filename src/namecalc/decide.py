@@ -7,8 +7,9 @@ those labels.  ``decide`` evaluates truth tables of labelings: a set of
 labelings is a Python int, bit i for the i-th labeling in lexicographic order
 (region 0 slowest), and the bitwise fold ``core.truth`` evaluates a whole
 table at once.  The first falsifying labeling in that order, realized, is the
-countermodel.  Formulas take up to LETTER_LIMIT letters, or
-SINGULAR_LETTER_LIMIT with the singular copula.  An independent brute-force
+countermodel.  Formulas take up to LETTER_LIMIT letters with either
+alphabet (2^16 or 3^16 labelings); a valid 5-letter two-label formula would
+run through 2^32, so it is refused up front.  An independent brute-force
 oracle enumerates raw denotation assignments over a fixed universe.
 """
 
@@ -31,8 +32,7 @@ class Card(IntEnum):
     MANY = 2
 
 
-LETTER_LIMIT = 5
-SINGULAR_LETTER_LIMIT = 4
+LETTER_LIMIT = 4
 TABLE_ROWS = 1 << 16
 
 
@@ -89,10 +89,9 @@ def decide(formula: Formula, cls: ModelClass) -> Verdict:
     """Valid, or the first countermodel in the lexicographic labeling order:
     the first class-admissible labeling that falsifies the formula, realized."""
     vocab = tuple(sorted(letters(formula)))
+    if len(vocab) > LETTER_LIMIT:
+        raise CapExceeded(f"{len(vocab)} letters exceed the cap ({LETTER_LIMIT})")
     three = needs_three_labels(formula)
-    limit = SINGULAR_LETTER_LIMIT if three else LETTER_LIMIT
-    if len(vocab) > limit:
-        raise CapExceeded(f"{len(vocab)} letters exceed the cap ({limit})")
     alphabet = (Card.ZERO, Card.ONE, Card.MANY) if three else (Card.ZERO, Card.MANY)
     base = len(alphabet)
     regions = 1 << len(vocab)

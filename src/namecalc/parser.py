@@ -14,16 +14,19 @@ Grammar for formulas (whitespace insensitive, ASCII only):
 
 Sequents are written ``p1, p2 ==> c`` (premises form a set: order and
 duplicates are discarded at parse time).  Deduction claims are written
-``p1, p2 |- c``.  Script files are line oriented, ``N: BODY ; JUSTIFICATION``,
-with ``#`` comments and blank lines ignored.
+``p1, p2 |- c``.  Script files are line oriented, ``N: BODY ; TAG FIELD ...``,
+with ``#`` comments and blank lines ignored; a script with no lines is a parse
+error.  Each of the three script formats is data: a tag table maps each
+justification tag to its class and its field kinds, each kind a (read, write)
+pair, and one parse loop and one formatter serve every format.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple, Optional
 
 from .core import Atom, Bin, Formula, Functor, FUNCTOR_BY_NAME, Neg, is_letter
 from .semantics import Model
@@ -76,39 +79,23 @@ class _Token:
     span: SourceSpan
 
 
-_SYMBOLS = ("<->", "==>", ":=", "->", "|-", "(", ")", ",", "~", "&", "|", ":", ";", "[", "]", "-")
+# Whitespace, then one group per token kind, longer symbols first; group 4
+# catches any other character.
+_TOKEN = re.compile(
+    r"\s+|(<->|==>|:=|->|\|-|[(),~&|:;\[\]-])|([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|(.)", re.DOTALL
+)
+_KINDS = (None, "sym", "name", "int")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, pos):
-                tokens.append(_Token("sym", sym, SourceSpan(pos, pos + len(sym))))
-                pos += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[pos:])
-        if m:
-            tokens.append(_Token("name", m.group(), SourceSpan(pos, pos + m.end())))
-            pos += m.end()
-            continue
-        m = re.match(r"[0-9]+", text[pos:])
-        if m:
-            tokens.append(_Token("int", m.group(), SourceSpan(pos, pos + m.end())))
-            pos += m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(pos, pos + 1))
-    tokens.append(_Token("end", "", SourceSpan(size, size)))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == 4:
+            raise ParseError(f"unexpected character {m.group()!r}", SourceSpan(*m.span()))
+        if kind:
+            tokens.append(_Token(_KINDS[kind], m.group(), SourceSpan(*m.span())))
+    tokens.append(_Token("end", "", SourceSpan(len(text), len(text))))
     return tokens
 
 
@@ -430,67 +417,32 @@ def _line_header(parser: _Parser, previous: int) -> int:
     return number
 
 
-def parse_proof_script(text: str) -> ProofScript:
-    lines: list[ProofLine] = []
-    previous = 0
-    for offset, content in _script_lines(text):
-        body, just = _split_line(offset, content)
-        number = _line_header(body, previous)
-        previous = number
-        formula = body.formula()
-        body.expect_end()
-        tag = just.name()
-        if tag == "ax":
-            justification = AxiomInstance(just.name(), _freeze(just.optional_substitution()))
-        elif tag == "def":
-            justification = DefInstance(just.name(), _freeze(just.optional_substitution()))
-        elif tag == "cpl":
-            justification = CplTautology()
-        elif tag == "mp":
-            justification = Detach(just.line_number(), just.line_number())
-        elif tag == "sub":
-            source = just.line_number()
-            subst = just.optional_substitution() or {}
-            justification = Substitute(source, _freeze(subst))
-        else:
-            raise just.fail(f"unknown justification tag {tag!r}", just.tokens[0])
-        just.expect_end()
-        lines.append(ProofLine(number, formula, justification))
-    return ProofScript(tuple(lines))
+class _Field(NamedTuple):
+    """One justification field: ``read(parser, earlier_fields)`` and
+    ``write(value)``, which gives None for a field that is left out."""
+
+    read: Callable[[_Parser, list], Any]
+    write: Callable[[Any], Optional[str]]
 
 
-def parse_sequent_script(text: str) -> SequentScript:
-    lines: list[SequentLine] = []
-    previous = 0
-    for offset, content in _script_lines(text):
-        body, just = _split_line(offset, content)
-        number = _line_header(body, previous)
-        previous = number
-        sequent = body.sequent()
-        body.expect_end()
-        tag = just.name()
-        if tag == "luk":
-            justification = LukAxiomSequent(just.name(), _freeze(just.optional_substitution()))
-        elif tag == "cpl":
-            justification = CplConsequenceAxiom()
-        elif tag == "cut":
-            justification = Cut(just.line_number(), just.line_number())
-        elif tag == "ded":
-            justification = Deduction(just.line_number())
-        elif tag == "rule":
-            name = _rule_name(just)
-            cites = []
-            while just.peek().kind == "int":
-                cites.append(just.line_number())
-            justification = DerivedRule(name, tuple(cites))
-        else:
-            raise just.fail(f"unknown justification tag {tag!r}", just.tokens[0])
-        just.expect_end()
-        lines.append(SequentLine(number, sequent, justification))
-    return SequentScript(tuple(lines))
+def _freeze(subst: Optional[dict[str, str]]) -> Optional[tuple[tuple[str, str], ...]]:
+    if subst is None:
+        return None
+    return tuple(sorted(subst.items()))
 
 
-def _rule_name(parser: _Parser) -> str:
+def _write_subst(subst: tuple[tuple[str, str], ...]) -> str:
+    return "[" + ",".join(f"{a}:={b}" for a, b in subst) + "]"
+
+
+def _read_lines(parser: _Parser, _) -> tuple[int, ...]:
+    cites = []
+    while parser.peek().kind == "int":
+        cites.append(parser.line_number())
+    return tuple(cites)
+
+
+def _read_rule_name(parser: _Parser, _) -> str:
     # Derived-rule names contain hyphens: biconditional-split, contraposition-1, ...
     pieces = [parser.name()]
     while parser.eat_sym("-"):
@@ -502,101 +454,125 @@ def _rule_name(parser: _Parser) -> str:
     return "-".join(pieces)
 
 
-def parse_deduction_script(text: str) -> DeductionScript:
-    lines: list[DeductionLine] = []
+def _read_smiley_rule(parser: _Parser, cites: list) -> int:
+    rule = parser.name()
+    if rule not in ("r1", "r2", "r3", "r4"):
+        raise parser.fail(f"unknown rule {rule!r}")
+    rule_id = int(rule[1])
+    cited = sum(cite is not None for cite in cites)
+    if rule_id in (1, 2) and cited != 2:
+        raise parser.fail("binary rules cite two lines")
+    if rule_id in (3, 4) and cited != 1:
+        raise parser.fail("unary rules cite one line")
+    return rule_id
+
+
+_NAME = _Field(lambda p, _: p.name(), str)
+_OPTIONAL_SUBST = _Field(
+    lambda p, _: _freeze(p.optional_substitution()),
+    lambda s: None if s is None else _write_subst(s),
+)
+_SUBST = _Field(  # ``sub i`` without a substitution means ``sub i []``
+    lambda p, _: _freeze(p.optional_substitution() or {}), lambda s: _write_subst(s or ())
+)
+_LINE = _Field(lambda p, _: p.line_number(), str)
+_OPTIONAL_LINE = _Field(
+    lambda p, _: p.line_number() if p.peek().kind == "int" else None,
+    lambda n: None if n is None else str(n),
+)
+_LINES = _Field(_read_lines, lambda cites: " ".join(map(str, cites)) or None)
+_RULE_NAME = _Field(_read_rule_name, str)
+_SMILEY_RULE = _Field(_read_smiley_rule, lambda rule_id: f"r{rule_id}")
+
+
+@dataclass(frozen=True)
+class _ScriptFormat:
+    """A script format: how a line's body is read and written, the line and
+    script classes, and the tag table, tag -> (justification class, fields)."""
+
+    read_body: Callable[[_Parser], Any]
+    write_body: Callable[[Any], str]
+    line: type
+    script: type
+    tags: dict[str, tuple[type, tuple[_Field, ...]]]
+
+
+_PROOF = _ScriptFormat(_Parser.formula, format_formula, ProofLine, ProofScript, {
+    "ax": (AxiomInstance, (_NAME, _OPTIONAL_SUBST)),
+    "def": (DefInstance, (_NAME, _OPTIONAL_SUBST)),
+    "cpl": (CplTautology, ()),
+    "mp": (Detach, (_LINE, _LINE)),
+    "sub": (Substitute, (_LINE, _SUBST)),
+})
+_SEQUENT = _ScriptFormat(_Parser.sequent, format_sequent, SequentLine, SequentScript, {
+    "luk": (LukAxiomSequent, (_NAME, _OPTIONAL_SUBST)),
+    "cpl": (CplConsequenceAxiom, ()),
+    "cut": (Cut, (_LINE, _LINE)),
+    "ded": (Deduction, (_LINE,)),
+    "rule": (DerivedRule, (_RULE_NAME, _LINES)),
+})
+_DEDUCTION = _ScriptFormat(
+    _Parser.deduction_claim, format_deduction_claim, DeductionLine, DeductionScript, {
+        "triv": (Trivial, ()),
+        "cut": (CutWithRule, (_LINE, _OPTIONAL_LINE, _SMILEY_RULE)),
+        "red": (Reductio, (_LINE, _LINE)),
+    })
+
+
+def _parse_script(text: str, fmt: _ScriptFormat):
+    content_lines = _script_lines(text)
+    if not content_lines:
+        raise ParseError("script has no lines", SourceSpan(0, 0))
+    lines = []
     previous = 0
-    for offset, content in _script_lines(text):
+    for offset, content in content_lines:
         body, just = _split_line(offset, content)
-        number = _line_header(body, previous)
-        previous = number
-        claim = body.deduction_claim()
+        previous = _line_header(body, previous)
+        claim = fmt.read_body(body)
         body.expect_end()
         tag = just.name()
-        if tag == "triv":
-            justification = Trivial()
-        elif tag == "cut":
-            cites = [just.line_number()]
-            if just.peek().kind == "int":
-                cites.append(just.line_number())
-            rule = just.name()
-            if rule not in ("r1", "r2", "r3", "r4"):
-                raise just.fail(f"unknown rule {rule!r}")
-            rule_id = int(rule[1])
-            if rule_id in (1, 2) and len(cites) != 2:
-                raise just.fail("binary rules cite two lines")
-            if rule_id in (3, 4) and len(cites) != 1:
-                raise just.fail("unary rules cite one line")
-            second = cites[1] if len(cites) == 2 else None
-            justification = CutWithRule(cites[0], second, rule_id)
-        elif tag == "red":
-            justification = Reductio(just.line_number(), just.line_number())
-        else:
+        if tag not in fmt.tags:
             raise just.fail(f"unknown justification tag {tag!r}", just.tokens[0])
+        cls, kinds = fmt.tags[tag]
+        values: list = []
+        for kind in kinds:
+            values.append(kind.read(just, values))
         just.expect_end()
-        lines.append(DeductionLine(number, claim, justification))
-    return DeductionScript(tuple(lines))
+        lines.append(fmt.line(previous, claim, cls(*values)))
+    return fmt.script(tuple(lines))
 
 
-def _freeze(subst: Optional[dict[str, str]]) -> Optional[tuple[tuple[str, str], ...]]:
-    if subst is None:
-        return None
-    return tuple(sorted(subst.items()))
+def _format_script(script, fmt: _ScriptFormat) -> str:
+    tag_of = {cls: (tag, kinds) for tag, (cls, kinds) in fmt.tags.items()}
+    out = []
+    for line in script.lines:
+        index, claim, justification = (getattr(line, f.name) for f in fields(line))
+        tag, kinds = tag_of[type(justification)]
+        values = (getattr(justification, f.name) for f in fields(justification))
+        words = [tag] + [w for kind, v in zip(kinds, values) if (w := kind.write(v)) is not None]
+        out.append(f"{index}: {fmt.write_body(claim)} ; {' '.join(words)}")
+    return "\n".join(out) + "\n"
 
 
-def _format_subst(subst: Optional[tuple[tuple[str, str], ...]]) -> str:
-    if subst is None:
-        return ""
-    inner = ",".join(f"{a}:={b}" for a, b in subst)
-    return f" [{inner}]"
+def parse_proof_script(text: str) -> ProofScript:
+    return _parse_script(text, _PROOF)
+
+
+def parse_sequent_script(text: str) -> SequentScript:
+    return _parse_script(text, _SEQUENT)
+
+
+def parse_deduction_script(text: str) -> DeductionScript:
+    return _parse_script(text, _DEDUCTION)
 
 
 def format_proof_script(script: ProofScript) -> str:
-    out = []
-    for line in script.lines:
-        j = line.justification
-        if isinstance(j, AxiomInstance):
-            just = f"ax {j.schema}{_format_subst(j.subst)}"
-        elif isinstance(j, DefInstance):
-            just = f"def {j.schema}{_format_subst(j.subst)}"
-        elif isinstance(j, CplTautology):
-            just = "cpl"
-        elif isinstance(j, Detach):
-            just = f"mp {j.antecedent} {j.implication}"
-        else:
-            just = f"sub {j.source}{_format_subst(j.subst) or ' []'}"
-        out.append(f"{line.index}: {format_formula(line.formula)} ; {just}")
-    return "\n".join(out) + "\n"
+    return _format_script(script, _PROOF)
 
 
 def format_sequent_script(script: SequentScript) -> str:
-    out = []
-    for line in script.lines:
-        j = line.justification
-        if isinstance(j, LukAxiomSequent):
-            just = f"luk {j.schema}{_format_subst(j.subst)}"
-        elif isinstance(j, CplConsequenceAxiom):
-            just = "cpl"
-        elif isinstance(j, Cut):
-            just = f"cut {j.left} {j.right}"
-        elif isinstance(j, Deduction):
-            just = f"ded {j.source}"
-        else:
-            cites = " ".join(str(c) for c in j.cites)
-            just = f"rule {j.rule} {cites}".rstrip()
-        out.append(f"{line.index}: {format_sequent(line.sequent)} ; {just}")
-    return "\n".join(out) + "\n"
+    return _format_script(script, _SEQUENT)
 
 
 def format_deduction_script(script: DeductionScript) -> str:
-    out = []
-    for line in script.lines:
-        j = line.justification
-        if isinstance(j, Trivial):
-            just = "triv"
-        elif isinstance(j, CutWithRule):
-            cites = str(j.first) if j.second is None else f"{j.first} {j.second}"
-            just = f"cut {cites} r{j.rule_id}"
-        else:
-            just = f"red {j.source} {j.refuter}"
-        out.append(f"{line.index}: {format_deduction_claim(line.claim)} ; {just}")
-    return "\n".join(out) + "\n"
+    return _format_script(script, _DEDUCTION)

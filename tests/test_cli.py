@@ -107,6 +107,17 @@ def test_sequent_and_smiley_check(tmp_path, capsys):
     assert code == 0 and out.strip() == "ACCEPTED"
 
 
+@pytest.mark.parametrize(
+    "command", [["check", "--system", "luk"], ["sequent-check"], ["smiley-check"]]
+)
+def test_empty_script_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no lines\n\n")
+    code, out, err = invoke(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 def test_canonical_subcommand(tmp_path, capsys):
     model = random_model(5, ["S", "P"], ModelClass.ALL, 3)
     path = tmp_path / "m.json"

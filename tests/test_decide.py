@@ -214,6 +214,9 @@ def test_letter_cap():
         decide(wide, ModelClass.ALL)
     with pytest.raises(CapExceeded):
         decide(parse_formula("eps(A,B) & eps(C,D) -> eps(E,E)"), ModelClass.ALL)
+    # Valid, so it would run through all 2^32 two-label labelings.
+    with pytest.raises(CapExceeded):
+        decide(parse_formula("a(S,P) & a(P,M) & a(M,Q) & a(Q,R) -> a(S,R)"), ModelClass.ALL)
 
 
 def test_four_letter_singular_chain_is_decided():

@@ -1,10 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from namecalc.core import Atom, Bin, Functor, Neg
+from namecalc.corpus import DATA_DIR
 from namecalc.parser import (
     ParseError,
+    SourceSpan,
+    _tokenize,
     format_deduction_claim,
     format_formula,
     format_model,
@@ -22,16 +27,32 @@ from namecalc.parser import (
 )
 from namecalc.proofscript import (
     AxiomInstance,
+    CplConsequenceAxiom,
     CplTautology,
+    Cut,
+    CutWithRule,
+    Deduction,
+    DeductionClaim,
+    DeductionLine,
+    DeductionScript,
+    DerivedRule,
     Detach,
+    LukAxiomSequent,
     ProofLine,
     ProofScript,
+    Reductio,
+    Sequent,
+    SequentLine,
+    SequentScript,
     Substitute,
+    Trivial,
 )
 from namecalc.semantics import Model
+from namecalc.sequent import AXIOM_SEQUENTS
 from namecalc.systems import SCHEMAS
 
-from conftest import formulas_st
+import script_reference as reference
+from conftest import formulas_st, letters_st, substitutions_st
 
 
 def test_barbara_concrete_syntax():
@@ -184,27 +205,244 @@ def test_proof_script_round_trip(formulas, data):
     assert parse_proof_script(format_proof_script(script)) == script
 
 
-def test_sequent_script_round_trip():
-    text = """1: ==> i(S,S) ; luk Ii
+_RULE_PIECE = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
+_RULE_NAMES = st.one_of(
+    st.sampled_from(["contraposition-3", "bridge-to-implication", "imp-apply"]),
+    st.tuples(
+        _RULE_PIECE,
+        st.lists(st.one_of(_RULE_PIECE, st.from_regex(r"[0-9]{1,3}", fullmatch=True)), max_size=3),
+    ).map(lambda t: "-".join([t[0], *t[1]])),
+)
+_SUBSTS = st.one_of(st.none(), substitutions_st.map(lambda d: tuple(sorted(d.items()))))
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.lists(formulas_st(max_depth=3), max_size=2), formulas_st(max_depth=3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.data(),
+)
+def test_sequent_script_round_trip(sequents, data):
+    lines = []
+    for k, (premises, conclusion) in enumerate(sequents, start=1):
+        cite = st.integers(1, k)
+        just = data.draw(
+            st.one_of(
+                st.builds(LukAxiomSequent, st.sampled_from(sorted(AXIOM_SEQUENTS)), _SUBSTS),
+                st.just(CplConsequenceAxiom()),
+                st.builds(Cut, cite, cite),
+                st.builds(Deduction, cite),
+                st.builds(DerivedRule, _RULE_NAMES, st.lists(cite, max_size=2).map(tuple)),
+            )
+        )
+        lines.append(SequentLine(k, Sequent(frozenset(premises), conclusion), just))
+    script = SequentScript(tuple(lines))
+    text = format_sequent_script(script)
+    assert parse_sequent_script(text) == script
+    assert text == reference.format_sequent_script(script)
+
+
+_CATEGORICAL_ATOMS = st.builds(
+    Atom,
+    st.sampled_from([Functor.A, Functor.I, Functor.E, Functor.O]),
+    letters_st,
+    letters_st,
+)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.lists(_CATEGORICAL_ATOMS, min_size=1, max_size=3), _CATEGORICAL_ATOMS),
+        min_size=1,
+        max_size=5,
+    ),
+    st.data(),
+)
+def test_deduction_script_round_trip(claims, data):
+    lines = []
+    for k, (premises, conclusion) in enumerate(claims, start=1):
+        cite = st.integers(1, k)
+        just = data.draw(
+            st.one_of(
+                st.just(Trivial()),
+                st.builds(CutWithRule, cite, cite, st.sampled_from([1, 2])),
+                st.builds(CutWithRule, cite, st.none(), st.sampled_from([3, 4])),
+                st.builds(Reductio, cite, cite),
+            )
+        )
+        lines.append(DeductionLine(k, DeductionClaim(frozenset(premises), conclusion), just))
+    script = DeductionScript(tuple(lines))
+    text = format_deduction_script(script)
+    assert parse_deduction_script(text) == script
+    assert text == reference.format_deduction_script(script)
+
+
+@pytest.mark.parametrize(
+    "parse, format_script, text",
+    [
+        (
+            parse_sequent_script,
+            format_sequent_script,
+            """1: ==> i(S,S) ; luk Ii
 2: a(S,P), i(S,S) ==> i(S,P) ; luk Datisi [M:=S]
 3: a(S,P) ==> i(S,P) ; cut 1 2
 4: ==> a(S,P) -> i(S,P) ; ded 3
 5: ==> a(S,P) -> i(S,P) ; rule bridge-to-implication 3
 6: i(S,P), i(S,S) ==> i(S,P) ; cpl
-"""
-    script = parse_sequent_script(text)
-    assert parse_sequent_script(format_sequent_script(script)) == script
-
-
-def test_deduction_script_round_trip():
-    text = """1: a(S,M) |- a(S,M) ; triv
+""",
+        ),
+        (
+            parse_deduction_script,
+            format_deduction_script,
+            """1: a(S,M) |- a(S,M) ; triv
 2: a(M,P) |- a(M,P) ; triv
 3: a(S,M), a(M,P) |- a(S,P) ; cut 1 2 r1
 4: e(P,S) |- e(S,P) ; cut 3 r3
 5: a(M,P), e(S,P) |- o(S,P) ; red 3 4
-"""
-    script = parse_deduction_script(text)
-    assert parse_deduction_script(format_deduction_script(script)) == script
+""",
+        ),
+    ],
+)
+def test_script_examples_round_trip(parse, format_script, text):
+    script = parse(text)
+    assert parse(format_script(script)) == script
+
+
+# The table-driven script grammar against the hand-written one it replaced.
+
+_FORMATS = {
+    "proof": (parse_proof_script, format_proof_script, reference.parse_proof_script,
+              reference.format_proof_script, ("ax", "def", "cpl", "mp", "sub")),
+    "seq": (parse_sequent_script, format_sequent_script, reference.parse_sequent_script,
+            reference.format_sequent_script, ("luk", "cpl", "cut", "ded", "rule")),
+    "ded": (parse_deduction_script, format_deduction_script, reference.parse_deduction_script,
+            reference.format_deduction_script, ("triv", "cut", "red")),
+}
+
+
+def _outcome(parse, format_script, text):
+    try:
+        script = parse(text)
+    except ParseError as err:
+        return ("error", err.message, err.span)
+    return ("parsed", script, format_script(script))
+
+
+def _assert_matches_reference(fmt, text):
+    parse, format_script, ref_parse, ref_format, _ = _FORMATS[fmt]
+    expected = _outcome(ref_parse, ref_format, text)
+    if expected[0] == "parsed" and not expected[1].lines:
+        # The one deliberate difference: an empty script is now refused.
+        expected = ("error", "script has no lines", SourceSpan(0, 0))
+    assert _outcome(parse, format_script, text) == expected, text
+
+
+def _corpus_scripts():
+    for path in sorted(DATA_DIR.rglob("*")):
+        if path.suffix[1:] in _FORMATS:
+            yield path.suffix[1:], path.read_text()
+
+
+def test_corpus_scripts_match_the_reference_grammar():
+    scripts = list(_corpus_scripts())
+    assert {fmt for fmt, _ in scripts} == set(_FORMATS)
+    for fmt, text in scripts:
+        _assert_matches_reference(fmt, text)
+
+
+_TAG = re.compile(r"^[^#]*;\s*([a-z]+)")
+
+
+def test_corpus_mutants_match_the_reference_grammar():
+    # Line k of each script is dropped (k even) or has its tag replaced by the
+    # next tag of its format's table (k odd); the mutant keeps the lines
+    # before k and the one after it.
+    for fmt, text in _corpus_scripts():
+        tags = _FORMATS[fmt][4]
+        lines = [line for line in text.splitlines(keepends=True) if _TAG.search(line)]
+        for k, line in enumerate(lines):
+            if k % 2 == 0:
+                mutant = lines[:k] + lines[k + 1:k + 2]
+            else:
+                match = _TAG.search(line)
+                tag = match.group(1)
+                swapped = tags[(tags.index(tag) + 1) % len(tags)]
+                mutant = lines[:k] + [line[: match.start(1)] + swapped + line[match.end(1):]] + lines[k + 1:k + 2]
+            _assert_matches_reference(fmt, "".join(mutant))
+
+
+_MALFORMED = [
+    "",
+    "# only a comment\n\n",
+    "1: a(S,S) ax Ia",
+    "1: a(S,S) ; blah",
+    "1: a(S,S) ;",
+    "1: a(S,S) ; 3",
+    "2: a(S,S) ; ax Ia",
+    "1: a(S,S) ; ax Ia\n1: i(S,S) ; ax Ii",
+    "1: a(S,S) ; ax Ia [S:=]",
+    "1: a(S,S) ; ax Ia [S]",
+    "1: a(S,S) ; ax Ia [S:=P,S:=Q]",
+    "1: a(S,S) ; ax Ia [S:=P",
+    "1: a(S,S) ; mp 1",
+    "1: a(S,S) ; mp 1 2 3",
+    "1: a(S,S) ; sub 1",
+    "1: a(S,S) ; sub 1 [P:=Q] extra",
+    "1: ==> a(S,S) ; luk Ia []",
+    "1: ==> a(S,S) ; rule and-intro-",
+    "1: ==> a(S,S) ; rule -x 1",
+    "1: ==> a(S,S) ; rule",
+    "1: ==> a(S,S) ; rule contraposition-3 2 1",
+    "1: ==> a(S,S) ; rule imp-apply 1 x",
+    "1: ==> a(S,S) ; ded",
+    "1: ==> a(S,S) ; cut 1",
+    "1: a(S,M) |- a(S,M) ; cut 1 r1",
+    "1: a(S,M) |- a(S,M) ; cut 1 2 r3",
+    "1: a(S,M) |- a(S,M) ; cut 1 2 r9",
+    "1: a(S,M) |- a(S,M) ; cut 1 2",
+    "1: a(S,M) |- a(S,M) ; cut r1",
+    "1: a(S,M) |- a(S,M) ; cut 1 2 3 r1",
+    "1: a(S,M) |- a(S,M) ; red 1",
+    "1: a(S,M) |- a(S,M) ; triv 1",
+    "1: a(S,M) |- a(S,M) ; triv\n\n# gap\n3: a(S,M) |- a(S,M) ; cut 1 r4",
+    "1: ka(S,M) |- a(S,M) ; triv",
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+def test_malformed_lines_match_the_reference_grammar(fmt, text):
+    _assert_matches_reference(fmt, text)
+
+
+def _tokens(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return (err.message, err.span)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.sampled_from(list("<->=|:;[](),~&_#S1 \t\n\xa0\u2028é٣§") + ["==>", "|-", "r1", "ka", "12"]),
+        max_size=12,
+    ).map("".join)
+)
+def test_tokenizer_matches_the_reference(text):
+    assert _tokens(_tokenize, text) == _tokens(reference.tokenize, text)
+
+
+def test_empty_script_is_a_parse_error():
+    for parse in (parse_proof_script, parse_sequent_script, parse_deduction_script):
+        for text in ("", "\n  \n# nothing here\n"):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.message, err.value.span) == ("script has no lines", SourceSpan(0, 0))
 
 
 def test_deduction_claim_rejects_nonatomic():
