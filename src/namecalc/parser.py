@@ -19,6 +19,10 @@ with ``#`` comments and blank lines ignored; a script with no lines is a parse
 error.  Each of the three script formats is data: a tag table maps each
 justification tag to its class and its field kinds, each kind a (read, write)
 pair, and one parse loop and one formatter serve every format.
+
+Tokens are plain strings from one ``findall``; a token's kind follows from
+its text.  Source spans are computed only on the error path, by scanning the
+text again when a ``ParseError`` is raised.
 """
 
 from __future__ import annotations
@@ -72,140 +76,116 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass
-class _Token:
-    kind: str  # "name", "sym", "int", "end"
-    text: str
-    span: SourceSpan
-
-
-# Whitespace, then one group per token kind, longer symbols first; group 4
-# catches any other character.
-_TOKEN = re.compile(
-    r"\s+|(<->|==>|:=|->|\|-|[(),~&|:;\[\]-])|([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|(.)", re.DOTALL
-)
-_KINDS = (None, "sym", "name", "int")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind == 4:
-            raise ParseError(f"unexpected character {m.group()!r}", SourceSpan(*m.span()))
-        if kind:
-            tokens.append(_Token(_KINDS[kind], m.group(), SourceSpan(*m.span())))
-    tokens.append(_Token("end", "", SourceSpan(len(text), len(text))))
-    return tokens
+# One alternative per token kind, longer symbols first; ``\S`` catches any
+# other character, and whitespace matches nothing, so ``findall`` skips it.
+_TOKEN = re.compile(r"<->|==>|:=|->|\|-|[(),~&|:;\[\]-]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S")
+_SYMBOLS = frozenset(("<->", "==>", ":=", "->", "|-", *"(),~&|:;[]-"))
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 class _Parser:
+    """Reads the tokens of one text, each a plain string; ``""`` marks the end.
+
+    Every token accepted here is a symbol or an ASCII word, so
+    ``str.isidentifier`` is true exactly for names and ``str.isdigit`` exactly
+    for line numbers.  No span is kept: ``span`` finds a token's again from
+    the text when an error is raised."""
+
     def __init__(self, text: str, offset: int = 0):
+        self.text = text
         self.offset = offset
-        try:
-            self.tokens = _tokenize(text)
-        except ParseError as err:
-            raise ParseError(err.message, self._shift(err.span)) from None
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
+        foreign = [t for t in set(self.tokens).difference(_SYMBOLS) if t[0] not in _WORD_START]
+        if foreign:
+            first = min(map(self.tokens.index, foreign))
+            raise self.fail(f"unexpected character {self.tokens[first]!r}", first)
+        self.tokens.append("")
 
-    def _shift(self, span: SourceSpan) -> SourceSpan:
-        return SourceSpan(span.start + self.offset, span.end + self.offset)
+    def span(self, index: int) -> SourceSpan:
+        """The source span of token ``index``, the end's at the end of the text."""
+        matches = list(_TOKEN.finditer(self.text))
+        start, end = matches[index].span() if index < len(matches) else (len(self.text),) * 2
+        return SourceSpan(start + self.offset, end + self.offset)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, index: Optional[int] = None) -> ParseError:
+        return ParseError(message, self.span(self.pos if index is None else index))
 
-    def next(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
+    def eat(self, sym: str) -> bool:
+        if self.tokens[self.pos] == sym:
             self.pos += 1
-        return token
-
-    def fail(self, message: str, token: Optional[_Token] = None) -> ParseError:
-        token = token or self.peek()
-        return ParseError(message, self._shift(token.span))
-
-    def expect_sym(self, sym: str) -> _Token:
-        token = self.peek()
-        if token.kind != "sym" or token.text != sym:
-            raise self.fail(f"expected {sym!r}")
-        return self.next()
-
-    def at_sym(self, sym: str) -> bool:
-        token = self.peek()
-        return token.kind == "sym" and token.text == sym
-
-    def eat_sym(self, sym: str) -> bool:
-        if self.at_sym(sym):
-            self.next()
             return True
         return False
 
+    def expect(self, sym: str) -> None:
+        if self.tokens[self.pos] != sym:
+            raise self.fail(f"expected {sym!r}")
+        self.pos += 1
+
     def expect_end(self) -> None:
-        if self.peek().kind != "end":
+        if self.tokens[self.pos]:
             raise self.fail("trailing input")
 
     # Formula grammar.
 
     def formula(self) -> Formula:
         node = self.implication()
-        while self.eat_sym("<->"):
+        while self.eat("<->"):
             node = Bin("<->", node, self.implication())
         return node
 
     def implication(self) -> Formula:
         node = self.disjunction()
-        if self.eat_sym("->"):
+        if self.eat("->"):
             return Bin("->", node, self.implication())
         return node
 
     def disjunction(self) -> Formula:
         node = self.conjunction()
-        while self.eat_sym("|"):
+        while self.eat("|"):
             node = Bin("|", node, self.conjunction())
         return node
 
     def conjunction(self) -> Formula:
         node = self.negation()
-        while self.eat_sym("&"):
+        while self.eat("&"):
             node = Bin("&", node, self.negation())
         return node
 
     def negation(self) -> Formula:
-        if self.eat_sym("~"):
+        if self.eat("~"):
             return Neg(self.negation())
-        if self.eat_sym("("):
+        if self.eat("("):
             node = self.formula()
-            self.expect_sym(")")
+            self.expect(")")
             return node
         return self.atom()
 
     def atom(self) -> Atom:
-        token = self.peek()
-        if token.kind != "name":
-            raise self.fail("expected a functor")
-        functor = FUNCTOR_BY_NAME.get(token.text)
+        token = self.tokens[self.pos]
+        functor = FUNCTOR_BY_NAME.get(token)
         if functor is None:
-            raise self.fail(f"unknown functor {token.text!r}", token)
-        self.next()
-        self.expect_sym("(")
+            raise self.fail(f"unknown functor {token!r}" if token.isidentifier() else "expected a functor")
+        self.pos += 1
+        self.expect("(")
         subject = self.letter()
         if functor.arity == 2:
-            if not self.eat_sym(","):
+            if not self.eat(","):
                 raise self.fail(f"functor {functor.value!r} takes two letters")
             predicate = self.letter()
-            self.expect_sym(")")
+            self.expect(")")
             return Atom(functor, subject, predicate)
-        if self.at_sym(","):
+        if self.tokens[self.pos] == ",":
             raise self.fail(f"functor {functor.value!r} takes one letter")
-        self.expect_sym(")")
+        self.expect(")")
         return Atom(functor, subject)
 
     def letter(self) -> str:
-        token = self.peek()
-        if token.kind != "name" or not is_letter(token.text):
+        token = self.tokens[self.pos]
+        if not is_letter(token):
             raise self.fail("expected a name letter")
-        self.next()
-        return token.text
+        self.pos += 1
+        return token
 
     # Sequents and deduction claims.
 
@@ -224,49 +204,49 @@ class _Parser:
 
     def _premises_then(self, arrow: str) -> tuple[list[Formula], Formula]:
         premises: list[Formula] = []
-        if not self.eat_sym(arrow):
+        if not self.eat(arrow):
             premises.append(self.formula())
-            while self.eat_sym(","):
+            while self.eat(","):
                 premises.append(self.formula())
-            self.expect_sym(arrow)
+            self.expect(arrow)
         return premises, self.formula()
 
     # Shared justification pieces.
 
     def substitution(self) -> dict[str, str]:
         subst: dict[str, str] = {}
-        self.expect_sym("[")
-        if not self.eat_sym("]"):
+        self.expect("[")
+        if not self.eat("]"):
             while True:
                 source = self.letter()
-                self.expect_sym(":=")
+                self.expect(":=")
                 target = self.letter()
                 if source in subst:
                     raise self.fail(f"letter {source} mapped twice")
                 subst[source] = target
-                if self.eat_sym("]"):
+                if self.eat("]"):
                     break
-                self.expect_sym(",")
+                self.expect(",")
         return subst
 
     def optional_substitution(self) -> Optional[dict[str, str]]:
-        if self.at_sym("["):
+        if self.tokens[self.pos] == "[":
             return self.substitution()
         return None
 
     def line_number(self) -> int:
-        token = self.peek()
-        if token.kind != "int":
+        token = self.tokens[self.pos]
+        if not token.isdigit():
             raise self.fail("expected a line number")
-        self.next()
-        return int(token.text)
+        self.pos += 1
+        return int(token)
 
     def name(self) -> str:
-        token = self.peek()
-        if token.kind != "name":
+        token = self.tokens[self.pos]
+        if not token.isidentifier():
             raise self.fail("expected a name")
-        self.next()
-        return token.text
+        self.pos += 1
+        return token
 
 
 _CATEGORICAL = (Functor.A, Functor.I, Functor.E, Functor.O)
@@ -411,9 +391,9 @@ def _split_line(offset: int, content: str) -> tuple[_Parser, _Parser]:
 
 def _line_header(parser: _Parser, previous: int) -> int:
     number = parser.line_number()
-    parser.expect_sym(":")
+    parser.expect(":")
     if number <= previous or (previous == 0 and number != 1):
-        raise parser.fail(f"bad line number {number} after {previous}", parser.tokens[0])
+        raise parser.fail(f"bad line number {number} after {previous}", 0)
     return number
 
 
@@ -437,7 +417,7 @@ def _write_subst(subst: tuple[tuple[str, str], ...]) -> str:
 
 def _read_lines(parser: _Parser, _) -> tuple[int, ...]:
     cites = []
-    while parser.peek().kind == "int":
+    while parser.tokens[parser.pos].isdigit():
         cites.append(parser.line_number())
     return tuple(cites)
 
@@ -445,12 +425,12 @@ def _read_lines(parser: _Parser, _) -> tuple[int, ...]:
 def _read_rule_name(parser: _Parser, _) -> str:
     # Derived-rule names contain hyphens: biconditional-split, contraposition-1, ...
     pieces = [parser.name()]
-    while parser.eat_sym("-"):
-        token = parser.peek()
-        if token.kind not in ("name", "int"):
+    while parser.eat("-"):
+        token = parser.tokens[parser.pos]
+        if not (token.isidentifier() or token.isdigit()):
             raise parser.fail("expected a rule-name piece")
-        parser.next()
-        pieces.append(token.text)
+        parser.pos += 1
+        pieces.append(token)
     return "-".join(pieces)
 
 
@@ -477,7 +457,7 @@ _SUBST = _Field(  # ``sub i`` without a substitution means ``sub i []``
 )
 _LINE = _Field(lambda p, _: p.line_number(), str)
 _OPTIONAL_LINE = _Field(
-    lambda p, _: p.line_number() if p.peek().kind == "int" else None,
+    lambda p, _: p.line_number() if p.tokens[p.pos].isdigit() else None,
     lambda n: None if n is None else str(n),
 )
 _LINES = _Field(_read_lines, lambda cites: " ".join(map(str, cites)) or None)
@@ -532,7 +512,7 @@ def _parse_script(text: str, fmt: _ScriptFormat):
         body.expect_end()
         tag = just.name()
         if tag not in fmt.tags:
-            raise just.fail(f"unknown justification tag {tag!r}", just.tokens[0])
+            raise just.fail(f"unknown justification tag {tag!r}", 0)
         cls, kinds = fmt.tags[tag]
         values: list = []
         for kind in kinds:
@@ -543,6 +523,8 @@ def _parse_script(text: str, fmt: _ScriptFormat):
 
 
 def _format_script(script, fmt: _ScriptFormat) -> str:
+    if not script.lines:
+        raise ValueError("script has no lines")
     tag_of = {cls: (tag, kinds) for tag, (cls, kinds) in fmt.tags.items()}
     out = []
     for line in script.lines:

@@ -2,25 +2,15 @@
 as the reference the table-driven parse loop and formatter are compared
 against: one parse loop per format with an ``if tag == ...`` chain, one
 formatter per format with an ``isinstance`` chain, and the rule-name reader.
-The line splitting and line-number check are shared with ``parser``.  The
-character-at-a-time tokenizer that ``parser``'s one token regex replaced is
-kept too."""
+The line splitting, the line-number check and the formula and sequent
+grammar come from ``parser_reference``, so that nothing here runs the parser
+under test.  The character-at-a-time tokenizer that the one token regex
+replaced is kept too."""
 
 import re
 from typing import Optional
 
-from namecalc.parser import (
-    ParseError,
-    SourceSpan,
-    _Parser,
-    _Token,
-    _line_header,
-    _script_lines,
-    _split_line,
-    format_deduction_claim,
-    format_formula,
-    format_sequent,
-)
+from namecalc.parser import ParseError, SourceSpan, format_deduction_claim, format_formula, format_sequent
 from namecalc.proofscript import (
     AxiomInstance,
     CplConsequenceAxiom,
@@ -42,6 +32,7 @@ from namecalc.proofscript import (
     Substitute,
     Trivial,
 )
+from parser_reference import _Parser, _Token, _line_header, _script_lines, _split_line
 
 
 _SYMBOLS = ("<->", "==>", ":=", "->", "|-", "(", ")", ",", "~", "&", "|", ":", ";", "[", "]", "-")

@@ -1,4 +1,7 @@
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from namecalc.corpus import DATA_DIR
 from namecalc.parser import (
     ParseError,
     SourceSpan,
-    _tokenize,
+    _Parser,
     format_deduction_claim,
     format_formula,
     format_model,
@@ -51,6 +54,7 @@ from namecalc.semantics import Model
 from namecalc.sequent import AXIOM_SEQUENTS
 from namecalc.systems import SCHEMAS
 
+import parser_reference
 import script_reference as reference
 from conftest import formulas_st, letters_st, substitutions_st
 
@@ -419,11 +423,25 @@ def test_malformed_lines_match_the_reference_grammar(fmt, text):
     _assert_matches_reference(fmt, text)
 
 
-def _tokens(tokenize, text):
+def _kind(token):
+    # The parser's own reading of an accepted token's kind.
+    if not token:
+        return "end"
+    if token.isidentifier():
+        return "name"
+    return "int" if token.isdigit() else "sym"
+
+
+def _parsed(parse, text):
     try:
-        return tokenize(text)
+        return parse(text)
     except ParseError as err:
         return (err.message, err.span)
+
+
+def _live_tokens(text):
+    parser = _Parser(text)
+    return [(_kind(token), token, parser.span(i)) for i, token in enumerate(parser.tokens)]
 
 
 @settings(max_examples=200)
@@ -434,7 +452,107 @@ def _tokens(tokenize, text):
     ).map("".join)
 )
 def test_tokenizer_matches_the_reference(text):
-    assert _tokens(_tokenize, text) == _tokens(reference.tokenize, text)
+    live = _parsed(_live_tokens, text)
+    for tokenize in (reference.tokenize, parser_reference._tokenize):
+        assert live == _parsed(lambda t: [(x.kind, x.text, x.span) for x in tokenize(t)], text)
+
+
+# Formula-level parsing against the frozen reference, on printed formulas,
+# sequents and deduction claims with one token-level mutation each.
+
+_SYMBOL_TOKENS = ["<->", "==>", ":=", "->", "|-", "(", ")", ",", "~", "&", "|", ":", ";", "[", "]", "-"]
+_STRAY_CHARACTERS = ["§", "é", "٣", "\xa0", " "]
+
+
+@st.composite
+def _mutated_texts(draw):
+    shape = draw(st.sampled_from(["formula", "sequent", "claim"]))
+    if shape == "formula":
+        text = format_formula(draw(formulas_st(max_depth=4)))
+    elif shape == "sequent":
+        premises = draw(st.lists(formulas_st(max_depth=3), max_size=3))
+        text = format_sequent(Sequent(frozenset(premises), draw(formulas_st(max_depth=3))))
+    else:
+        premises = draw(st.lists(_CATEGORICAL_ATOMS, min_size=1, max_size=3))
+        text = format_deduction_claim(DeductionClaim(frozenset(premises), draw(_CATEGORICAL_ATOMS)))
+    mutation = draw(st.sampled_from(["drop", "duplicate", "swap", "insert"]))
+    if mutation == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(_STRAY_CHARACTERS)) + text[at:]
+    tokens = parser_reference._tokenize(text)[:-1]
+    if mutation == "swap":
+        tokens = [token for token in tokens if token.kind == "sym"]
+    token = draw(st.sampled_from(tokens))
+    replacement = {
+        "drop": "",
+        "duplicate": f"{token.text} {token.text}",
+        "swap": draw(st.sampled_from([sym for sym in _SYMBOL_TOKENS if sym != token.text])),
+    }[mutation]
+    return text[: token.span.start] + replacement + text[token.span.end:]
+
+
+@settings(max_examples=300)
+@given(_mutated_texts())
+def test_formula_level_parsing_matches_the_reference(text):
+    for parse, reference_parse in (
+        (parse_formula, parser_reference.parse_formula),
+        (parse_sequent, parser_reference.parse_sequent),
+        (parse_deduction_claim, parser_reference.parse_deduction_claim),
+    ):
+        assert _parsed(parse, text) == _parsed(reference_parse, text), text
+
+
+# Run in a fresh interpreter, so that both parsers start from the same stack
+# depth: for each shape, the largest nesting each parser accepts before the
+# recursion limit stops it, found by bisection.
+_DEPTH_PROBE = """
+import sys
+import parser_reference
+from namecalc.parser import parse_formula
+
+SHAPES = {
+    "parentheses": lambda n: "(" * n + "a(S,S)" + ")" * n,
+    "negations": lambda n: "~" * n + "a(S,S)",
+    "implications": lambda n: "a(S,S) -> " * n + "a(S,S)",
+}
+
+
+def accepts(parse, text):
+    try:
+        parse(text)
+    except RecursionError:
+        return False
+    return True
+
+
+def deepest(parse, shape):
+    low, high = 0, sys.getrecursionlimit()
+    assert accepts(parse, shape(low)) and not accepts(parse, shape(high))
+    while high - low > 1:
+        middle = (low + high) // 2
+        if accepts(parse, shape(middle)):
+            low = middle
+        else:
+            high = middle
+    return low
+
+
+for name, shape in SHAPES.items():
+    print(name, deepest(parse_formula, shape), deepest(parser_reference.parse_formula, shape))
+"""
+
+
+def test_no_nesting_the_reference_accepts_is_refused():
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), *sys.path]
+    probe = f"import sys; sys.path[:0] = {path!r}\n" + _DEPTH_PROBE
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        shape, live, frozen = line.split()
+        assert int(live) >= int(frozen) > 100, line
 
 
 def test_empty_script_is_a_parse_error():
@@ -443,6 +561,21 @@ def test_empty_script_is_a_parse_error():
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert (err.value.message, err.value.span) == ("script has no lines", SourceSpan(0, 0))
+
+
+@pytest.mark.parametrize(
+    "format_script, empty",
+    [
+        (format_proof_script, ProofScript(())),
+        (format_sequent_script, SequentScript(())),
+        (format_deduction_script, DeductionScript(())),
+    ],
+)
+def test_empty_script_is_not_formatted(format_script, empty):
+    # The parse functions refuse a script with no lines, so formatting one
+    # would give text that does not parse back.
+    with pytest.raises(ValueError, match="script has no lines"):
+        format_script(empty)
 
 
 def test_deduction_claim_rejects_nonatomic():
