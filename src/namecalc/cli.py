@@ -2,13 +2,14 @@
 representation checks, basis translation, and the corpus runner.
 
 Exit status: 0 for valid/accepted, 1 for invalid/rejected, 2 for usage,
-parse, or guard errors.  Formulas are taken inline or from a file via
+parse, guard or internal errors.  Formulas are taken inline or from a file via
 ``@path``.  JSON output is versioned and deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -207,6 +208,7 @@ def _cmd_corpus(args) -> int:
     return OK if report.ok else REJECTED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="namecalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,9 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return USAGE if err.code else OK
     try:
@@ -289,6 +290,9 @@ def run(argv: list[str] | None = None) -> int:
         return USAGE
     except (CliError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return USAGE
+    except Exception as err:  # a fault of namecalc itself, never exit 1
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return USAGE
 
 

@@ -65,6 +65,15 @@ class Atom:
             if self.predicate is None or not is_letter(self.predicate):
                 raise ValueError(f"bad name letter: {self.predicate!r}")
 
+    @classmethod
+    def unchecked(cls, functor: Functor, subject: str, predicate: Optional[str] = None) -> "Atom":
+        """An atom whose letters and arity the caller (the parser) has checked."""
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "functor", functor)
+        object.__setattr__(atom, "subject", subject)
+        object.__setattr__(atom, "predicate", predicate)
+        return atom
+
 
 @dataclass(frozen=True, slots=True)
 class Neg:
@@ -123,7 +132,7 @@ def distinct_atoms(formula: Formula) -> list[Atom]:
 def truth(formula: Formula, leaf: Callable[[Atom], Any], full: Any = 1) -> Any:
     """Classical truth of a formula, folded bitwise over the values of its
     atoms: sets of rows, one bit per row, with `full` the set of all rows:
-    1 for scalar truth, an int of 2^n ones for a table, True for numpy bools."""
+    1 for scalar truth, an int of 2^n ones for a table of n-bit rows."""
     if isinstance(formula, Atom):
         return leaf(formula)
     if isinstance(formula, Neg):

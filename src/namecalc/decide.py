@@ -10,7 +10,7 @@ table at once.  The first falsifying labeling in that order, realized, is the
 countermodel.  Formulas take up to LETTER_LIMIT letters with either
 alphabet (2^16 or 3^16 labelings); a valid 5-letter two-label formula would
 run through 2^32, so it is refused up front.  An independent brute-force
-oracle enumerates raw denotation assignments over a fixed universe.
+oracle enumerates raw denotation assignments over a fixed universe, in tables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
-from operator import or_
+from operator import and_, or_, xor
 from typing import Optional, Sequence, Union
 
 from .core import Atom, Formula, Functor, digit_columns, distinct_atoms, letters, truth
@@ -169,65 +169,71 @@ def _failing_rows(formula: Formula, cls: ModelClass, vocab: tuple[str, ...],
     return admissible & ~truth(formula, values.__getitem__, full)
 
 
-# Brute-force oracle: denotations as bitmasks over a fixed universe, all
-# assignments enumerated with numpy.
+# Brute-force oracle: every denotation assignment into a universe of u
+# elements, in truth tables.  Bit (k-1-j)*u + e of assignment i says whether
+# element e is in letter j's denotation, so the first letter varies slowest.
+# Tables split the digits of i as in decide, the head digits ascending; a
+# digit's plane is the set of rows where it is 1.
 
 ORACLE_MAX_LETTERS = 3
 ORACLE_MAX_UNIVERSE = 8
 
 
+def _oracle_letter(planes: tuple[int, ...], full: int) -> tuple[tuple[int, ...], int, int, dict]:
+    """A letter's element planes, the rows where its denotation has at least
+    one element and exactly one, and the rows each model class admits."""
+    has = two = 0
+    for plane in planes:
+        two |= has & plane
+        has |= plane
+    single = has ^ two
+    return planes, has, single, {ModelClass.ALL: full, ModelClass.TRADITIONAL: has,
+                                 ModelClass.POLYREFERENTIAL: two, ModelClass.NON_MONOREFERENTIAL: full ^ single}
+
+
 @lru_cache(maxsize=None)
-def _oracle_tables(count: int, max_universe: int):
-    """Shared read-only denotation-mask and popcount columns for an assignment
-    enumeration over `count` letters.  uint8 holds every mask, since the
-    universe has at most 8 elements."""
-    import numpy as np  # only the oracle needs numpy, so only it pays the import
-    subsets = 1 << max_universe
-    masks_of = np.arange(subsets, dtype=np.uint8)
-    pops_of = np.array([bin(x).count("1") for x in range(subsets)], dtype=np.uint8)
-    masks, pops = [], []
-    for j in range(count):
-        inner, outer = subsets ** (count - 1 - j), subsets**j
-        for table, column in ((masks_of, masks), (pops_of, pops)):
-            values = np.tile(np.repeat(table, inner), outer)
-            values.setflags(write=False)
-            column.append(values)
-    return tuple(masks), tuple(pops)
+def _oracle_fixed(universe: int, count: int, spanned: int) -> tuple[tuple[int, ...], tuple, dict]:
+    """What no head digit touches, the same in every table: the planes of the
+    spanned digits; per letter, `_oracle_letter` if no head digit is the
+    letter's, else None; and `_oracle_atom` of each functor over such letters.
+    At most 3 letters and 126 atoms of at most 2^16 bits, about 3 MB over
+    every key."""
+    planes = tuple(plane for (plane,) in digit_columns(2, spanned))
+    full = (1 << (1 << spanned)) - 1
+    fixed = tuple(_oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe], full)
+                  if (count - j) * universe <= spanned else None for j in range(count))
+    return planes, fixed, {(f, s, p): _oracle_atom(f, fixed[s], fixed[p], full) for f in Functor
+                           for s in range(count) for p in range(count) if fixed[s] and fixed[p]}
 
 
-def _oracle_atom(atom: Atom, masks, pops):
-    ds, ps = masks[atom.subject], pops[atom.subject]
-    f = atom.functor
+def _outside(s: int, p: int) -> int:
+    return (s | p) ^ p  # s & ~p, without a negative int
+
+
+def _oracle_atom(f: Functor, subject: tuple, predicate: tuple, full: int) -> int:
+    """The rows where the atom holds, from its letters' `_oracle_letter`s."""
+    planes, has, single, _ = subject
     if f is Functor.EX:
-        return ps > 0
-    dp, pp = masks[atom.predicate], pops[atom.predicate]
-    if f is Functor.A:
-        return (ds & ~dp) == 0
-    if f is Functor.I:
-        return (ds & dp) != 0
-    if f is Functor.E:
-        return (ds & dp) == 0
-    if f is Functor.O:
-        return (ds & ~dp) != 0
-    if f is Functor.KA:
-        return (ps > 0) & ((ds & ~dp) == 0)
-    if f is Functor.KE:
-        return (ps > 0) & ((ds & dp) == 0)
-    if f is Functor.KKE:
-        return (ps > 0) & (pp > 0) & ((ds & dp) == 0)
-    if f is Functor.CEQ:
-        return ds == dp
-    if f is Functor.DEQ:
-        return (ds == dp) & (ps > 0)
+        return has
+    # The rows with no element of S outside P, none in P, or none in just one.
+    if f in (Functor.A, Functor.O, Functor.KA, Functor.OT, Functor.EPS):
+        element = _outside
+    elif f in (Functor.I, Functor.E, Functor.KE, Functor.KKE, Functor.NEPS):
+        element = and_
+    else:
+        element = xor
+    none = full ^ reduce(or_, map(element, planes, predicate[0]), 0)
+    if f in (Functor.A, Functor.E, Functor.CEQ):
+        return none
+    if f in (Functor.O, Functor.I):
+        return full ^ none
+    if f in (Functor.KA, Functor.KE, Functor.DEQ):
+        return has & none
     if f is Functor.OT:
-        return ~((ps > 0) & ((ds & ~dp) == 0))
-    if f is Functor.EPS:
-        return (ps == 1) & ((ds & ~dp) == 0)
-    if f is Functor.NEPS:
-        return (ps == 1) & ((ds & dp) == 0)
-    if f is Functor.IDEQ:
-        return (ps == 1) & (ds == dp)
-    raise AssertionError(f)
+        return full ^ (has & none)
+    if f is Functor.KKE:
+        return has & predicate[1] & none
+    return single & none
 
 
 def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdict:
@@ -237,40 +243,38 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     Enumeration is lexicographic over the letter tuple (first letter varies
     slowest) with denotations ordered as little-endian element bitmasks.
     """
-    import numpy as np
     vocab = tuple(sorted(letters(formula)))
     if len(vocab) > ORACLE_MAX_LETTERS:
         raise CapExceeded(f"oracle is limited to {ORACLE_MAX_LETTERS} letters")
     if not 0 <= max_universe <= ORACLE_MAX_UNIVERSE:
         raise CapExceeded(f"oracle universe is limited to {ORACLE_MAX_UNIVERSE}")
-    subsets = 1 << max_universe
-    total = subsets ** len(vocab)
-    mask_columns, pop_columns = _oracle_tables(len(vocab), max_universe)
-    masks = {letter: mask_columns[j] for j, letter in enumerate(vocab)}
-    pops = {letter: pop_columns[j] for j, letter in enumerate(vocab)}
-    admissible = np.ones(total, dtype=bool)
-    if cls is not ModelClass.ALL:
-        if max_universe < _UNIVERSE_MINIMUM[cls]:
-            admissible[:] = False
-        elif cls is ModelClass.TRADITIONAL:
-            for letter in vocab:
-                admissible &= pops[letter] >= 1
-        elif cls is ModelClass.POLYREFERENTIAL:
-            for letter in vocab:
-                admissible &= pops[letter] >= 2
-        else:
-            for letter in vocab:
-                admissible &= pops[letter] != 1
-    truths = truth(formula, lambda atom: _oracle_atom(atom, masks, pops), True)
-    failing = np.nonzero(admissible & ~truths)[0]
-    if failing.size == 0:
+    if max_universe < _UNIVERSE_MINIMUM[cls]:
         return Valid()
-    first = int(failing[0])
-    universe = frozenset(f"u{k}" for k in range(max_universe))
-    denotation = {}
-    for letter in vocab:
-        mask = int(masks[letter][first])
-        denotation[letter] = frozenset(f"u{k}" for k in range(max_universe) if mask >> k & 1)
-    model = Model(universe, denotation)
-    assert in_class(model, cls, vocab) and not evaluate(model, formula)
-    return Countermodel(model)
+    universe, count = max_universe, len(vocab)
+    digits = universe * count
+    spanned = min(digits, TABLE_ROWS.bit_length() - 1)
+    full = (1 << (1 << spanned)) - 1
+    columns, fixed, fixed_atoms = _oracle_fixed(universe, count, spanned)
+    index = {v: j for j, v in enumerate(vocab)}
+    # ex(S) reads only S, so S stands in for the predicate it lacks.
+    keys = {atom: (atom.functor, index[atom.subject], index[atom.predicate or atom.subject])
+            for atom in distinct_atoms(formula)}
+    for head in range(1 << digits - spanned):
+        planes = columns + tuple(full if head >> d & 1 else 0 for d in range(digits - spanned))
+        summaries = [fixed[j] or _oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe], full)
+                     for j in range(count)]
+        admissible = reduce(and_, (letter[3][cls] for letter in summaries), full)
+        values = {atom: fixed_atoms[key] if key in fixed_atoms
+                  else _oracle_atom(key[0], summaries[key[1]], summaries[key[2]], full)
+                  for atom, key in keys.items()}
+        failing = admissible & (full ^ truth(formula, values.__getitem__, full))
+        if failing:
+            first = (head << spanned) | ((failing & -failing).bit_length() - 1)
+            elements = [f"u{e}" for e in range(universe)]
+            model = Model(frozenset(elements), {
+                letter: frozenset(x for e, x in enumerate(elements)
+                                  if first >> (count - 1 - j) * universe + e & 1)
+                for j, letter in enumerate(vocab)})
+            assert in_class(model, cls, vocab) and not evaluate(model, formula)
+            return Countermodel(model)
+    return Valid()

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from namecalc.cli import main, run
+from namecalc import cli
+from namecalc.cli import build_parser, main, run
 from namecalc.parser import format_model, parse_model
 from namecalc.representation import format_structure, structure_from_model
 from namecalc.semantics import ModelClass, random_model
@@ -168,3 +169,35 @@ def test_corpus_run_json_stable(capsys):
 def test_usage_error_exits_2(capsys):
     code, _, _ = invoke(capsys, "decide", "a(S,S)", "--class", "nope")
     assert code == 2
+
+
+def test_one_parser_serves_successive_calls(capsys):
+    assert build_parser() is build_parser()
+    assert invoke(capsys, "decide", "a(S,S)", "--class", "all", "--json") == \
+        (0, '{"verdict": "valid", "version": 1}\n', "")
+    assert invoke(capsys, "translate", "e(S,P)", "--to", "ai") == (0, "~i(S,P)\n", "")
+    assert invoke(capsys, "decide", "i(S,S)", "--class", "all") == \
+        (1, 'COUNTERMODEL {"universe":[],"denotation":{"S":[]}}\n', "")
+    code, out, err = invoke(capsys, "translate", "e(S,P)")
+    assert code == 2 and out == "" and "--to" in err
+    code, out, _ = invoke(capsys, "decide", "--help")
+    assert code == 0 and "--oracle" in out
+
+
+@pytest.mark.parametrize("error", [AssertionError("lost a case"), TypeError("bad operand")])
+def test_internal_error_exits_2(capsys, monkeypatch, error):
+    def fail(formula, cls):
+        raise error
+
+    monkeypatch.setattr(cli, "decide", fail)
+    assert invoke(capsys, "decide", "a(S,S)", "--class", "all") == \
+        (2, "", f"internal error: {type(error).__name__}: {error}\n")
+
+
+def test_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupt(formula, cls):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "decide", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(["decide", "a(S,S)", "--class", "all"])

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 
 from conftest import formulas_st
 from decide_reference import reference_decide
+from oracle_reference import reference_oracle
 from namecalc.core import letters
 from namecalc.corpus import corpus_entries
 from namecalc.decide import (
@@ -281,3 +283,52 @@ def test_oracle_examples_and_guards():
         oracle_decide(parse_formula("a(A,B) & a(B,C) -> a(C,D)"), ModelClass.ALL, 4)
     with pytest.raises(CapExceeded):
         oracle_decide(parse_formula("a(S,P)"), ModelClass.ALL, 9)
+
+
+def _reference_oracle_output(formula, cls, universe):
+    _, model = reference_oracle(formula, cls, universe)
+    return "VALID" if model is None else format_model(model)
+
+
+@pytest.mark.parametrize("table_rows", TABLE_SIZES)
+@settings(max_examples=100, deadline=None)
+@given(formula=st.sampled_from([("S",), ("S", "P"), ("S", "P", "M")]).flatmap(
+    lambda pool: formulas_st(pool, max_depth=4)), universe=st.integers(0, 4))
+@example(formula=parse_formula("a(S,P) & a(P,M) -> a(S,M)"), universe=4)  # every table, to the end
+def test_oracle_matches_the_reference_enumeration(table_rows, formula, universe):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide_module, "TABLE_ROWS", table_rows)
+        for cls in ModelClass:
+            assert _output(oracle_decide(formula, cls, universe)) == \
+                _reference_oracle_output(formula, cls, universe), cls
+
+
+@pytest.mark.parametrize("text, cls, universe", [
+    ("ex(M) & ex(P) -> ex(S)", ModelClass.ALL, 2),
+    ("i(S,P) -> a(P,S) | eps(M,M)", ModelClass.TRADITIONAL, 3),
+    ("ka(M,P) -> ka(S,P)", ModelClass.POLYREFERENTIAL, 3),
+    ("ke(P,S) -> ex(S)", ModelClass.NON_MONOREFERENTIAL, 4),
+])
+def test_oracle_finds_countermodels_beyond_the_first_table(text, cls, universe):
+    formula = parse_formula(text)
+    row, _ = reference_oracle(formula, cls, universe)
+    assert row >= 1 << 4
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide_module, "TABLE_ROWS", 1 << 4)
+        assert _output(oracle_decide(formula, cls, universe)) == \
+            _reference_oracle_output(formula, cls, universe)
+
+
+def test_oracle_runs_without_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        importlib.import_module("numpy")
+    chain = parse_formula("a(S,P) & a(P,M) -> a(S,M)")
+    assert is_valid(oracle_decide(chain, ModelClass.ALL, 8))  # every table, to the end
+    # The first countermodel gives M one element, so it lies past the first table.
+    verdict = oracle_decide(parse_formula("ex(M) & a(P,S) -> ex(S)"), ModelClass.ALL, 8)
+    assert _output(verdict) == \
+        '{"universe":["u0","u1","u2","u3","u4","u5","u6","u7"],"denotation":{"M":["u0"],"P":[],"S":[]}}'
+    for universe in (0, 4, 8):
+        verdict = oracle_decide(parse_formula("i(S,P) -> a(P,S)"), ModelClass.TRADITIONAL, universe)
+        assert is_valid(verdict) == (universe < 2)
