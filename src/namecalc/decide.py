@@ -85,6 +85,10 @@ class CapExceeded(ValueError):
     pass
 
 
+def _outside(s: int, p: int) -> int:
+    return (s | p) ^ p  # s & ~p, without a negative int
+
+
 def decide(formula: Formula, cls: ModelClass) -> Verdict:
     """Valid, or the first countermodel in the lexicographic labeling order:
     the first class-admissible labeling that falsifies the formula, realized."""
@@ -131,13 +135,13 @@ def _failing_rows(formula: Formula, cls: ModelClass, vocab: tuple[str, ...],
                 seen |= nonempty[r]
                 ones |= one[r]
         has.append(seen)
-        single.append(ones & ~two)  # exactly one nonempty region, and it is One
+        single.append(_outside(ones, two))  # exactly one nonempty region, and it is One
         if cls is ModelClass.TRADITIONAL:
             admissible &= seen
         elif cls is ModelClass.POLYREFERENTIAL:
-            admissible &= seen & ~single[j]
+            admissible &= _outside(seen, single[j])
         elif cls is ModelClass.NON_MONOREFERENTIAL:
-            admissible &= ~single[j]
+            admissible &= full ^ single[j]
     index = {v: j for j, v in enumerate(vocab)}
 
     def rows(atom: Atom) -> int:
@@ -166,7 +170,7 @@ def _failing_rows(formula: Formula, cls: ModelClass, vocab: tuple[str, ...],
         return single[s] & empty
 
     values = {atom: rows(atom) for atom in distinct_atoms(formula)}
-    return admissible & ~truth(formula, values.__getitem__, full)
+    return admissible & (full ^ truth(formula, values.__getitem__, full))
 
 
 # Brute-force oracle: every denotation assignment into a universe of u
@@ -204,10 +208,6 @@ def _oracle_fixed(universe: int, count: int, spanned: int) -> tuple[tuple[int, .
                   if (count - j) * universe <= spanned else None for j in range(count))
     return planes, fixed, {(f, s, p): _oracle_atom(f, fixed[s], fixed[p], full) for f in Functor
                            for s in range(count) for p in range(count) if fixed[s] and fixed[p]}
-
-
-def _outside(s: int, p: int) -> int:
-    return (s | p) ^ p  # s & ~p, without a negative int
 
 
 def _oracle_atom(f: Functor, subject: tuple, predicate: tuple, full: int) -> int:

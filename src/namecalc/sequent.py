@@ -3,8 +3,10 @@
 The sequent kernel has axiomatic sequents (the instances of the traditional
 axiom set, with each definition split into two one-premise sequents),
 CPL-consequence axioms, binary cut, and the deduction rule.  Everything else
-ships as a derived-rule macro whose expansion into primitive steps is
-re-checked on every use; no macro is trusted.
+ships as a derived-rule macro, and no macro is trusted: a rule only proposes
+plans of primitive cpl/cut/ded steps, one replay loop builds the steps of
+the first plan that reaches the stated sequent, and `check_expansion`
+re-checks those steps with the primitive checkers on every use.
 
 The deduction kernel works over a/i/e/o atoms with four inference rules,
 trivial deductions, rule cuts, and reductio; premise sets must be nonempty
@@ -14,8 +16,8 @@ trivial deductions, rule cuts, and reductio; premise sets must be nonempty
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     Atom,
@@ -60,6 +62,10 @@ def cpl_consequence(premises: Iterable[Formula], conclusion: Formula) -> bool:
     return is_cpl_tautology(implication(premises, conclusion))
 
 
+def _is(formula: Formula, op: str) -> bool:
+    return isinstance(formula, Bin) and formula.op == op
+
+
 def _definition_sequents(name: str) -> dict[str, Sequent]:
     pattern = SCHEMAS[name].pattern
     left, right = pattern.left, pattern.right
@@ -71,14 +77,14 @@ def _definition_sequents(name: str) -> dict[str, Sequent]:
 
 def _axiom_sequent(name: str) -> Sequent:
     pattern = SCHEMAS[name].pattern
-    if isinstance(pattern, Bin) and pattern.op == "->":
+    if _is(pattern, "->"):
         premises = _flatten_conj(pattern.left)
         return Sequent(frozenset(premises), pattern.right)
     return Sequent(frozenset(), pattern)
 
 
 def _flatten_conj(formula: Formula) -> list[Formula]:
-    if isinstance(formula, Bin) and formula.op == "&":
+    if _is(formula, "&"):
         return _flatten_conj(formula.left) + _flatten_conj(formula.right)
     return [formula]
 
@@ -120,7 +126,7 @@ def cut_sequents(left: Sequent, right: Sequent) -> Optional[Sequent]:
 
 def deduction_matches(source: Sequent, stated: Sequent) -> bool:
     """stated must be P ==> x -> w obtained from source = P, x ==> w."""
-    if not (isinstance(stated.conclusion, Bin) and stated.conclusion.op == "->"):
+    if not _is(stated.conclusion, "->"):
         return False
     moved = stated.conclusion.left
     return (
@@ -130,8 +136,12 @@ def deduction_matches(source: Sequent, stated: Sequent) -> bool:
     )
 
 
-# Derived-rule macros.  Each expansion step is a sequent plus a primitive
-# justification referring to a context list that starts with the cited lines.
+# Derived rules.  A rule checks the shapes it needs and yields candidate
+# plans; the first plan that replays to the stated sequent is its expansion.
+# A plan is a list of ("cpl", premises, conclusion), ("cut", i, j) and
+# ("ded", i, moved) steps, citing the context (the cited lines, then the
+# steps) by absolute or negative index; STOP ends the plan early if the last
+# sequent is already the stated one.
 
 @dataclass(frozen=True)
 class ExpStep:
@@ -140,285 +150,184 @@ class ExpStep:
     cites: tuple[int, ...] = ()
 
 
-@dataclass
-class _Expansion:
-    context: list[Sequent]
-    steps: list[ExpStep] = field(default_factory=list)
+STOP = "stop"
+Plan = list
+Rule = Callable[[list[Sequent], Sequent], Iterator[Plan]]
 
-    def cpl(self, premises: Iterable[Formula], conclusion: Formula) -> int:
-        self.steps.append(ExpStep(Sequent(frozenset(premises), conclusion), "cpl"))
-        self.context.append(self.steps[-1].sequent)
-        return len(self.context) - 1
 
-    def cut(self, left: int, right: int) -> Optional[int]:
-        result = cut_sequents(self.context[left], self.context[right])
-        if result is None:
+def _replay(cited: list[Sequent], plan: Plan, stated: Sequent) -> Optional[list[ExpStep]]:
+    """The expansion steps of a plan, or None if a cut fails or it does not
+    end at the stated sequent."""
+    context, steps = list(cited), []
+    for step in plan:
+        if step is STOP:
+            if context[-1] == stated:
+                break
+            continue
+        kind, first, second = step
+        if kind == "cpl":
+            sequent, cites = Sequent(frozenset(first), second), ()
+        elif kind == "cut":
+            sequent = cut_sequents(context[first], context[second])
+            cites = (first % len(context), second % len(context))
+        else:
+            source, cites = context[first], (first % len(context),)
+            sequent = Sequent(source.premises - {second}, imp(second, source.conclusion))
+        if sequent is None:
             return None
-        self.steps.append(ExpStep(result, "cut", (left, right)))
-        self.context.append(result)
-        return len(self.context) - 1
-
-    def ded(self, source: int, moved: Formula) -> int:
-        src = self.context[source]
-        result = Sequent(src.premises - {moved}, imp(moved, src.conclusion))
-        self.steps.append(ExpStep(result, "ded", (source,)))
-        self.context.append(result)
-        return len(self.context) - 1
-
-    @property
-    def last(self) -> Sequent:
-        return self.context[-1]
+        steps.append(ExpStep(sequent, kind, cites))
+        context.append(sequent)
+    return steps if context[-1] == stated else None
 
 
-Expander = Callable[[list[Sequent], Sequent], Optional[list[ExpStep]]]
+def _of(premises: Iterable[Formula], op: str) -> list[Bin]:
+    """The premises whose main connective is op, in canonical sorted order."""
+    return sorted((p for p in premises if _is(p, op)), key=format_formula)
 
 
-def _sorted_candidates(premises: Iterable[Formula]) -> list[Formula]:
-    return sorted(premises, key=format_formula)
+def _join(premises: list[Formula], conclusion: Formula) -> Plan:
+    """Two cited lines to the premises of one cpl step, cutting the second
+    only if the first cut does not already give the stated sequent."""
+    return [("cpl", premises, conclusion), ("cut", 0, 2), STOP, ("cut", 1, 3)]
 
 
-def _expand_and_intro_left(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _and_intro_left(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
     (src,) = cited
-    for candidate in _sorted_candidates(stated.premises):
-        if not (isinstance(candidate, Bin) and candidate.op == "&"):
-            continue
-        alpha, beta = candidate.left, candidate.right
-        if not {alpha, beta} <= src.premises:
-            continue
-        exp = _Expansion([src])
-        first = exp.cpl([candidate], alpha)
-        mid = exp.cut(first, 0)
-        if mid is None:
-            continue
-        if exp.last != stated:
-            second = exp.cpl([candidate], beta)
-            if exp.cut(second, mid) is None:
-                continue
-        if exp.last == stated:
-            return exp.steps
-    return None
+    for c in _of(stated.premises, "&"):
+        if {c.left, c.right} <= src.premises:
+            yield [("cpl", [c], c.left), ("cut", 1, 0), STOP, ("cpl", [c], c.right), ("cut", 3, 2)]
 
 
-def _expand_and_intro_right(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _and_intro_right(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
     (src,) = cited
-    for candidate in _sorted_candidates(src.premises):
-        if not (isinstance(candidate, Bin) and candidate.op == "&"):
-            continue
-        exp = _Expansion([src])
-        first = exp.cpl([candidate.left, candidate.right], candidate)
-        if exp.cut(first, 0) is None:
-            continue
-        if exp.last == stated:
-            return exp.steps
-    return None
+    for c in _of(src.premises, "&"):
+        yield [("cpl", [c.left, c.right], c), ("cut", 1, 0)]
 
 
-def _expand_and_combine(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
-    left, right = cited
-    alpha, beta = left.conclusion, right.conclusion
-    exp = _Expansion([left, right])
-    first = exp.cpl([alpha, beta], Bin("&", alpha, beta))
-    mid = exp.cut(0, first)
-    if mid is None:
-        return None
-    if exp.last != stated and exp.cut(1, mid) is None:
-        return None
-    return exp.steps if exp.last == stated else None
+def _and_combine(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
+    alpha, beta = (line.conclusion for line in cited)
+    yield _join([alpha, beta], Bin("&", alpha, beta))
 
 
-def _expand_imp_unpack(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _imp_unpack(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
     (src,) = cited
-    if not (isinstance(src.conclusion, Bin) and src.conclusion.op == "->"):
-        return None
-    alpha = src.conclusion.left
-    exp = _Expansion([src])
-    first = exp.cpl([alpha, src.conclusion], src.conclusion.right)
-    if exp.cut(0, first) is None:
-        return None
-    return exp.steps if exp.last == stated else None
+    if _is(src.conclusion, "->"):
+        yield [("cpl", [src.conclusion.left, src.conclusion], src.conclusion.right), ("cut", 0, 1)]
 
 
-def _expand_imp_apply(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
-    left, right = cited
-    if not (isinstance(left.conclusion, Bin) and left.conclusion.op == "->"):
-        return None
-    if left.conclusion.left != right.conclusion:
-        return None
-    exp = _Expansion([left, right])
-    first = exp.cpl([right.conclusion, left.conclusion], left.conclusion.right)
-    mid = exp.cut(0, first)
-    if mid is None:
-        return None
-    if exp.last != stated and exp.cut(1, mid) is None:
-        return None
-    return exp.steps if exp.last == stated else None
+def _imp_apply(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
+    arrow, alpha = (line.conclusion for line in cited)
+    if _is(arrow, "->") and arrow.left == alpha:
+        yield _join([alpha, arrow], arrow.right)
 
 
-def _expand_biconditional_split(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _biconditional_split(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
     (src,) = cited
-    if not (isinstance(src.conclusion, Bin) and src.conclusion.op == "<->"):
-        return None
-    alpha, beta = src.conclusion.left, src.conclusion.right
-    for premise, conclusion in ((alpha, beta), (beta, alpha)):
-        exp = _Expansion([src])
-        first = exp.cpl([src.conclusion, premise], conclusion)
-        if exp.cut(0, first) is None:
-            continue
-        if exp.last == stated:
-            return exp.steps
-    return None
+    both = src.conclusion
+    if _is(both, "<->"):
+        for premise, conclusion in ((both.left, both.right), (both.right, both.left)):
+            yield [("cpl", [both, premise], conclusion), ("cut", 0, 1)]
 
 
-def _expand_biconditional_join(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
-    left, right = cited
-    for node in (left.conclusion, right.conclusion):
-        if not (isinstance(node, Bin) and node.op == "->"):
-            return None
-    alpha, beta = left.conclusion.left, left.conclusion.right
-    if right.conclusion != imp(beta, alpha):
-        return None
-    exp = _Expansion([left, right])
-    first = exp.cpl([left.conclusion, right.conclusion], Bin("<->", alpha, beta))
-    mid = exp.cut(0, first)
-    if mid is None:
-        return None
-    if exp.last != stated and exp.cut(1, mid) is None:
-        return None
-    return exp.steps if exp.last == stated else None
+def _biconditional_join(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
+    forth, back = (line.conclusion for line in cited)
+    if _is(forth, "->") and back == imp(forth.right, forth.left):
+        yield _join([forth, back], Bin("<->", forth.left, forth.right))
 
 
-def _make_contraposition(wrap_alpha: bool, wrap_beta: bool) -> Expander:
+def _contraposition(wrap_alpha: bool, wrap_beta: bool) -> Rule:
     """The four contraposition rules: move a premise across the arrow with the
     matching negation pattern.  wrap_alpha: the moved premise appears negated
     in the source; wrap_beta: the source conclusion appears negated."""
 
-    def expand(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+    def rule(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
         (src,) = cited
         beta = src.conclusion
-        if wrap_beta:
-            if not isinstance(beta, Neg):
-                return None
-            bare_beta = beta.operand
-        else:
-            bare_beta = Neg(beta)
-        # premise of the result: bare_beta; conclusion: alpha moved across
-        for moved in _sorted_candidates(src.premises):
+        if wrap_beta and not isinstance(beta, Neg):
+            return
+        bare_beta = beta.operand if wrap_beta else Neg(beta)
+        for moved in sorted(src.premises, key=format_formula):
             if wrap_alpha and not isinstance(moved, Neg):
                 continue
             new_conclusion = moved.operand if wrap_alpha else Neg(moved)
-            exp = _Expansion([src])
-            step = exp.ded(0, moved)
-            first = exp.cpl([exp.context[step].conclusion, bare_beta], new_conclusion)
-            if exp.cut(step, first) is None:
-                continue
-            if exp.last == stated:
-                return exp.steps
-        return None
+            yield [("ded", 0, moved), ("cpl", [imp(moved, beta), bare_beta], new_conclusion),
+                   ("cut", 1, 2)]
 
-    return expand
+    return rule
 
 
-def _expand_disjunction_side(index: int) -> Expander:
-    def expand(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _disjunction_side(index: int) -> Rule:
+    def rule(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
         (src,) = cited
-        for candidate in _sorted_candidates(src.premises):
-            if not (isinstance(candidate, Bin) and candidate.op == "|"):
-                continue
-            part = (candidate.left, candidate.right)[index]
-            exp = _Expansion([src])
-            first = exp.cpl([part], candidate)
-            if exp.cut(first, 0) is None:
-                continue
-            if exp.last == stated:
-                return exp.steps
-        return None
+        for c in _of(src.premises, "|"):
+            yield [("cpl", [(c.left, c.right)[index]], c), ("cut", 1, 0)]
 
-    return expand
+    return rule
 
 
-def _expand_disjunction_join(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _disjunction_join(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
     left, right = cited
-    if left.conclusion != right.conclusion:
-        return None
     omega = left.conclusion
-    for candidate in _sorted_candidates(stated.premises):
-        if not (isinstance(candidate, Bin) and candidate.op == "|"):
-            continue
-        alpha, beta = candidate.left, candidate.right
-        if alpha not in left.premises or beta not in right.premises:
-            continue
-        exp = _Expansion([left, right])
-        dl = exp.ded(0, alpha)
-        dr = exp.ded(1, beta)
-        first = exp.cpl(
-            [exp.context[dl].conclusion, exp.context[dr].conclusion, candidate], omega
-        )
-        mid = exp.cut(dl, first)
-        if mid is None:
-            continue
-        if exp.last != stated and exp.cut(dr, mid) is None:
-            continue
-        if exp.last == stated:
-            return exp.steps
-    return None
+    if omega != right.conclusion:
+        return
+    for c in _of(stated.premises, "|"):
+        if c.left in left.premises and c.right in right.premises:
+            yield [("ded", 0, c.left), ("ded", 1, c.right),
+                   ("cpl", [imp(c.left, omega), imp(c.right, omega), c], omega),
+                   ("cut", 2, 4), STOP, ("cut", 3, 5)]
 
 
-def _expand_bridge_to_implication(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _bridge_to_implication(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
+    """Replace the premises one at a time by their conjunction, then move it
+    across the arrow."""
     (src,) = cited
-    if stated.premises or not (isinstance(stated.conclusion, Bin) and stated.conclusion.op == "->"):
-        return None
-    phi, omega = stated.conclusion.left, stated.conclusion.right
-    if omega != src.conclusion or frozenset(_flatten_conj(phi)) != src.premises:
-        return None
-    exp = _Expansion([src])
-    current = 0
-    for premise in _sorted_candidates(src.premises):
-        step = exp.cpl([phi], premise)
-        current = exp.cut(step, current)
-        if current is None:
-            return None
-    if exp.context[current] != Sequent(frozenset([phi]), omega):
-        return None
-    exp.ded(current, phi)
-    return exp.steps if exp.last == stated else None
+    whole = stated.conclusion
+    if stated.premises or not _is(whole, "->") or whole.right != src.conclusion:
+        return
+    if frozenset(_flatten_conj(whole.left)) == src.premises:
+        phi = whole.left
+        yield [step for premise in sorted(src.premises, key=format_formula)
+               for step in (("cpl", [phi], premise), ("cut", -1, -2))] + [("ded", -1, phi)]
 
 
-def _expand_bridge_to_sequent(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _bridge_to_sequent(cited: list[Sequent], stated: Sequent) -> Iterator[Plan]:
     (src,) = cited
-    if src.premises or not (isinstance(src.conclusion, Bin) and src.conclusion.op == "->"):
-        return None
-    phi, omega = src.conclusion.left, src.conclusion.right
-    if omega != stated.conclusion or frozenset(_flatten_conj(phi)) != stated.premises:
-        return None
-    exp = _Expansion([src])
-    body = exp.cpl([phi, src.conclusion], omega)
-    mid = exp.cut(0, body)
-    if mid is None:
-        return None
-    collect = exp.cpl(stated.premises, phi)
-    if exp.cut(collect, mid) is None:
-        return None
-    return exp.steps if exp.last == stated else None
+    whole = src.conclusion
+    if src.premises or not _is(whole, "->") or whole.right != stated.conclusion:
+        return
+    if frozenset(_flatten_conj(whole.left)) == stated.premises:
+        yield [("cpl", [whole.left, whole], whole.right), ("cut", 0, 1),
+               ("cpl", stated.premises, whole.left), ("cut", 3, 2)]
 
 
-DERIVED_RULES: dict[str, tuple[int, Expander]] = {
-    "and-intro-left": (1, _expand_and_intro_left),
-    "and-intro-right": (1, _expand_and_intro_right),
-    "and-combine": (2, _expand_and_combine),
-    "imp-unpack": (1, _expand_imp_unpack),
-    "imp-apply": (2, _expand_imp_apply),
-    "biconditional-split": (1, _expand_biconditional_split),
-    "biconditional-join": (2, _expand_biconditional_join),
-    "contraposition-1": (1, _make_contraposition(False, False)),
-    "contraposition-2": (1, _make_contraposition(True, True)),
-    "contraposition-3": (1, _make_contraposition(True, False)),
-    "contraposition-4": (1, _make_contraposition(False, True)),
-    "disjunction-left": (1, _expand_disjunction_side(0)),
-    "disjunction-right": (1, _expand_disjunction_side(1)),
-    "disjunction-join": (2, _expand_disjunction_join),
-    "bridge-to-implication": (1, _expand_bridge_to_implication),
-    "bridge-to-sequent": (1, _expand_bridge_to_sequent),
+DERIVED_RULES: dict[str, tuple[int, Rule]] = {
+    "and-intro-left": (1, _and_intro_left),
+    "and-intro-right": (1, _and_intro_right),
+    "and-combine": (2, _and_combine),
+    "imp-unpack": (1, _imp_unpack),
+    "imp-apply": (2, _imp_apply),
+    "biconditional-split": (1, _biconditional_split),
+    "biconditional-join": (2, _biconditional_join),
+    "contraposition-1": (1, _contraposition(False, False)),
+    "contraposition-2": (1, _contraposition(True, True)),
+    "contraposition-3": (1, _contraposition(True, False)),
+    "contraposition-4": (1, _contraposition(False, True)),
+    "disjunction-left": (1, _disjunction_side(0)),
+    "disjunction-right": (1, _disjunction_side(1)),
+    "disjunction-join": (2, _disjunction_join),
+    "bridge-to-implication": (1, _bridge_to_implication),
+    "bridge-to-sequent": (1, _bridge_to_sequent),
 }
+
+
+def expand(rule: str, cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+    """The expansion of the first plan of the rule that replays to the stated
+    sequent, or None if none does."""
+    for plan in DERIVED_RULES[rule][1](cited, stated):
+        steps = _replay(cited, plan, stated)
+        if steps is not None:
+            return steps
+    return None
 
 
 def check_expansion(cited: list[Sequent], steps: list[ExpStep], stated: Sequent) -> Optional[str]:
@@ -507,11 +416,11 @@ def check_sequent_proof(script: SequentScript) -> SequentCheckReport:
             entry = DERIVED_RULES.get(j.rule)
             if entry is None:
                 return SequentCheckReport.failure(line.index, f"unknown derived rule {j.rule}")
-            arity, expander = entry
+            arity = entry[0]
             if len(j.cites) != arity or any(c not in proved for c in j.cites):
                 return SequentCheckReport.failure(line.index, f"{j.rule} cites {arity} line(s)")
             cited = [proved[c] for c in j.cites]
-            steps = expander(cited, line.sequent)
+            steps = expand(j.rule, cited, line.sequent)
             if steps is None:
                 return SequentCheckReport.failure(line.index, f"{j.rule} does not apply")
             problem = check_expansion(cited, steps, line.sequent)
