@@ -26,7 +26,7 @@ from .parser import (
     parse_proof_script,
     parse_sequent_script,
 )
-from .proof import Basis, GuardExceeded, check_proof, expand_definitions
+from .proof import Basis, CheckReport, GuardExceeded, check_proof, expand_definitions
 from .representation import (
     canonical_model,
     parse_structure,
@@ -116,14 +116,14 @@ def _cmd_eval(args) -> int:
     return OK if value else REJECTED
 
 
-def _report_exit(accepted, failure_line, reason, as_json) -> int:
-    if accepted:
+def _report_exit(report: CheckReport, as_json: bool) -> int:
+    if report.accepted:
         _emit({"accepted": True}, as_json, "ACCEPTED")
         return OK
     _emit(
-        {"accepted": False, "line": failure_line, "reason": reason},
+        {"accepted": False, "line": report.failure_line, "reason": report.reason},
         as_json,
-        f"REJECTED line {failure_line}: {reason}",
+        f"REJECTED line {report.failure_line}: {report.reason}",
     )
     return REJECTED
 
@@ -131,20 +131,17 @@ def _report_exit(accepted, failure_line, reason, as_json) -> int:
 def _cmd_check(args) -> int:
     script = parse_proof_script(Path(args.file).read_text())
     spec = system(_SYSTEMS[args.system], substitution_rule_enabled=not args.instances)
-    report = check_proof(spec, script)
-    return _report_exit(report.accepted, report.failure_line, report.reason, args.json)
+    return _report_exit(check_proof(spec, script), args.json)
 
 
 def _cmd_sequent_check(args) -> int:
     script = parse_sequent_script(Path(args.file).read_text())
-    report = check_sequent_proof(script)
-    return _report_exit(report.accepted, report.failure_line, report.reason, args.json)
+    return _report_exit(check_sequent_proof(script), args.json)
 
 
 def _cmd_smiley_check(args) -> int:
     script = parse_deduction_script(Path(args.file).read_text())
-    report = check_smiley_deduction(script)
-    return _report_exit(report.accepted, report.failure_line, report.reason, args.json)
+    return _report_exit(check_smiley_deduction(script), args.json)
 
 
 def _cmd_canonical(args) -> int:

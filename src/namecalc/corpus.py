@@ -113,35 +113,26 @@ def _check_script(entry: CorpusEntry, script: CorpusScript, data_dir: Path, repo
     if script.path.endswith(".proof"):
         parsed = parse_proof_script(text)
         result = check_proof(system(script.system, script.substitution_rule), parsed)
-        if not result.accepted:
-            report.mismatches.append(
-                f"{entry.name}: {script.path} rejected at line {result.failure_line}: {result.reason}"
-            )
-            return
-        conclusion = format_formula(parsed.conclusion)
+        formula = parsed.conclusion
     elif script.path.endswith(".seq"):
         parsed = parse_sequent_script(text)
         result = check_sequent_proof(parsed)
-        if not result.accepted:
-            report.mismatches.append(
-                f"{entry.name}: {script.path} rejected at line {result.failure_line}: {result.reason}"
-            )
-            return
         last = parsed.lines[-1].sequent
-        conclusion = format_formula(implication(last.premises, last.conclusion))
+        formula = implication(last.premises, last.conclusion)
     elif script.path.endswith(".ded"):
         parsed = parse_deduction_script(text)
         result = check_smiley_deduction(parsed)
-        if not result.accepted:
-            report.mismatches.append(
-                f"{entry.name}: {script.path} rejected at line {result.failure_line}: {result.reason}"
-            )
-            return
         last = parsed.lines[-1].claim
-        conclusion = format_formula(implication(last.premises, last.conclusion))
+        formula = implication(last.premises, last.conclusion)
     else:
         report.mismatches.append(f"{entry.name}: unknown script format {script.path}")
         return
+    if not result.accepted:
+        report.mismatches.append(
+            f"{entry.name}: {script.path} rejected at line {result.failure_line}: {result.reason}"
+        )
+        return
+    conclusion = format_formula(formula)
     if conclusion != entry.formula:
         report.mismatches.append(
             f"{entry.name}: {script.path} concludes {conclusion!r}, entry pins {entry.formula!r}"

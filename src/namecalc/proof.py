@@ -1,18 +1,22 @@
 """Hilbert-style proof checking, CPL tautology recognition, and the
 definitional rewriter between functor bases.
 
-The kernel has two rules, detachment and uniform letter substitution, plus
-axiom/definition instances and a single `cpl` tag that admits any
+The Hilbert kernel has two rules, detachment and uniform letter substitution,
+plus axiom/definition instances and a single `cpl` tag that admits any
 substitution instance of a propositional tautology (checked by truth table
-over the distinct atoms).  The rewriter translates through the registered
-``df*`` definition schemas.
+over the distinct atoms).  Like the sequent and deduction kernels, it is a
+table of rule checks walked by ``check_lines``, the one line loop of all
+three.  The rewriter translates through the registered ``df*`` definition
+schemas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Iterable, Optional
 
 from .core import (
     Atom,
@@ -60,73 +64,90 @@ class CheckReport:
     accepted: bool
     failure_line: Optional[int] = None
     reason: Optional[str] = None
+    expansions: tuple = ()  # (line, steps) per derived-rule line of a sequent proof
 
     @staticmethod
     def failure(line: int, reason: str) -> "CheckReport":
         return CheckReport(False, line, reason)
 
 
-OK = CheckReport(True)
+class _Missing(LookupError):
+    pass
 
 
-def _instance_ok(schema: AxiomSchema, subst, formula: Formula) -> Optional[str]:
-    if subst is None:
+class _Proved(dict):
+    def __missing__(self, index: int):
+        raise _Missing
+
+
+def check_lines(lines: Iterable, claim_of: Callable, rules: dict, admit: Callable = lambda claim: None) -> CheckReport:
+    """The line loop of the three kernels.  Line numbers must increase, admit
+    may refuse a claim outright, and the justification's class picks a
+    (noun, check) from rules.  check(j, claim, proved) returns a reason to
+    reject the line, None to accept it, or a tuple to accept it and record
+    (line, tuple) in the expansions.  Citing a line that is not proved rejects
+    with "{noun} cites a missing line", a tripped guard with its message."""
+    proved, expansions, previous = _Proved(), [], 0
+    for line in lines:
+        if line.index <= previous:
+            return CheckReport.failure(line.index, "line numbers must increase")
+        previous = line.index
+        j, claim = line.justification, claim_of(line)
+        noun, check = rules.get(type(j), (None, None))
+        try:
+            outcome = admit(claim) or (check(j, claim, proved) if check else f"unknown justification {j!r}")
+        except _Missing:
+            outcome = f"{noun} cites a missing line"
+        except GuardExceeded as err:
+            outcome = str(err)
+        if isinstance(outcome, str):
+            return CheckReport.failure(line.index, outcome)
+        if outcome is not None:
+            expansions.append((line.index, outcome))
+        proved[line.index] = claim
+    return CheckReport(True, expansions=tuple(expansions))
+
+
+def _instance(system: SystemSpec, pool, j: AxiomInstance, formula: Formula, proved) -> Optional[str]:
+    schema = next((s for s in pool if s.name == j.schema), None)
+    if schema is None:
+        return f"{j.schema} is not available in {system.id}"
+    if j.subst is None:
         if match_schema(schema.pattern, formula) is None:
             return f"not an instance of {schema.name}"
-        return None
-    if substitute(schema.pattern, dict(subst)) != formula:
+    elif substitute(schema.pattern, dict(j.subst)) != formula:
         return f"substitution does not send {schema.name} to the stated formula"
+    return None
+
+
+def _tautology(j: CplTautology, formula: Formula, proved) -> Optional[str]:
+    return None if is_cpl_tautology(formula) else "not a propositional tautology"
+
+
+def _detach(j: Detach, formula: Formula, proved) -> Optional[str]:
+    if proved[j.implication] != Bin("->", proved[j.antecedent], formula):
+        return "cited line is not the matching implication"
+    return None
+
+
+def _substitution(system: SystemSpec, j: Substitute, formula: Formula, proved) -> Optional[str]:
+    if not system.substitution_rule_enabled:
+        return f"{system.id} (instance version) has no substitution rule"
+    if substitute(proved[j.source], dict(j.subst or ())) != formula:
+        return "substitution result differs"
     return None
 
 
 def check_proof(system: SystemSpec, script: ProofScript) -> CheckReport:
     """Check a script line by line; the report carries the first failure."""
-    proved: dict[int, Formula] = {}
-    previous = 0
-    for line in script.lines:
-        if line.index <= previous:
-            return CheckReport.failure(line.index, "line numbers must increase")
-        previous = line.index
-        j = line.justification
-        if isinstance(j, (AxiomInstance, DefInstance)):
-            pool = (
-                system.definitions + system.extension_definitions
-                if isinstance(j, DefInstance)
-                else system.axioms + system.definitions + system.extension_definitions
-            )
-            schema = next((s for s in pool if s.name == j.schema), None)
-            if schema is None:
-                return CheckReport.failure(line.index, f"{j.schema} is not available in {system.id}")
-            problem = _instance_ok(schema, j.subst, line.formula)
-            if problem:
-                return CheckReport.failure(line.index, problem)
-        elif isinstance(j, CplTautology):
-            try:
-                if not is_cpl_tautology(line.formula):
-                    return CheckReport.failure(line.index, "not a propositional tautology")
-            except GuardExceeded as err:
-                return CheckReport.failure(line.index, str(err))
-        elif isinstance(j, Detach):
-            if j.antecedent not in proved or j.implication not in proved:
-                return CheckReport.failure(line.index, "detachment cites a missing line")
-            expected = Bin("->", proved[j.antecedent], line.formula)
-            if proved[j.implication] != expected:
-                return CheckReport.failure(
-                    line.index, "cited line is not the matching implication"
-                )
-        elif isinstance(j, Substitute):
-            if not system.substitution_rule_enabled:
-                return CheckReport.failure(
-                    line.index, f"{system.id} (instance version) has no substitution rule"
-                )
-            if j.source not in proved:
-                return CheckReport.failure(line.index, "substitution cites a missing line")
-            if substitute(proved[j.source], dict(j.subst or ())) != line.formula:
-                return CheckReport.failure(line.index, "substitution result differs")
-        else:  # pragma: no cover
-            return CheckReport.failure(line.index, f"unknown justification {j!r}")
-        proved[line.index] = line.formula
-    return OK
+    definitions = system.definitions + system.extension_definitions
+    return check_lines(script.lines, attrgetter("formula"), {
+        AxiomInstance: (None, partial(_instance, system, system.axioms + definitions)),
+        DefInstance: (None, partial(_instance, system, definitions)),
+        CplTautology: (None, _tautology),
+        Detach: ("detachment", _detach),
+        Substitute: ("substitution", partial(_substitution, system)),
+    })
 
 
 class Basis(Enum):

@@ -11,13 +11,15 @@ re-checks those steps with the primitive checkers on every use.
 The deduction kernel works over a/i/e/o atoms with four inference rules,
 trivial deductions, rule cuts, and reductio; premise sets must be nonempty
 (tautology claims with an empty left side are not part of this format).
+Both kernels are tables of rule checks walked by ``proof.check_lines``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import (
     Atom,
@@ -31,7 +33,7 @@ from .core import (
     substitute,
 )
 from .parser import format_formula
-from .proof import CheckReport, GuardExceeded, is_cpl_tautology
+from .proof import CheckReport, GuardExceeded, check_lines, is_cpl_tautology
 from .proofscript import (
     CplConsequenceAxiom,
     Cut,
@@ -355,82 +357,63 @@ def check_expansion(cited: list[Sequent], steps: list[ExpStep], stated: Sequent)
     return None
 
 
-@dataclass(frozen=True)
-class SequentCheckReport:
-    accepted: bool
-    failure_line: Optional[int] = None
-    reason: Optional[str] = None
-    expansions: tuple[tuple[int, tuple[ExpStep, ...]], ...] = ()
+def _axiom_sequent_instance(j: LukAxiomSequent, sequent: Sequent, proved) -> Optional[str]:
+    pattern = AXIOM_SEQUENTS.get(j.schema)
+    if pattern is None:
+        return f"unknown axiomatic sequent {j.schema}"
+    if j.subst is not None:
+        if _apply_subst(pattern, dict(j.subst)) != sequent:
+            return f"substitution does not send {j.schema} to the stated sequent"
+    elif _match_axiom_sequent(pattern, sequent) is None:
+        return f"not an instance of the {j.schema} sequent"
+    return None
 
-    @staticmethod
-    def failure(line: int, reason: str) -> "SequentCheckReport":
-        return SequentCheckReport(False, line, reason)
+
+def _consequence(j: CplConsequenceAxiom, sequent: Sequent, proved) -> Optional[str]:
+    if not cpl_consequence(sequent.premises, sequent.conclusion):
+        return "not a propositional consequence"
+    return None
 
 
-def check_sequent_proof(script: SequentScript) -> SequentCheckReport:
-    proved: dict[int, Sequent] = {}
-    expansions: list[tuple[int, tuple[ExpStep, ...]]] = []
-    previous = 0
-    for line in script.lines:
-        if line.index <= previous:
-            return SequentCheckReport.failure(line.index, "line numbers must increase")
-        previous = line.index
-        j = line.justification
-        if isinstance(j, LukAxiomSequent):
-            pattern = AXIOM_SEQUENTS.get(j.schema)
-            if pattern is None:
-                return SequentCheckReport.failure(line.index, f"unknown axiomatic sequent {j.schema}")
-            if j.subst is not None:
-                if _apply_subst(pattern, dict(j.subst)) != line.sequent:
-                    return SequentCheckReport.failure(
-                        line.index, f"substitution does not send {j.schema} to the stated sequent"
-                    )
-            elif _match_axiom_sequent(pattern, line.sequent) is None:
-                return SequentCheckReport.failure(
-                    line.index, f"not an instance of the {j.schema} sequent"
-                )
-        elif isinstance(j, CplConsequenceAxiom):
-            try:
-                if not cpl_consequence(line.sequent.premises, line.sequent.conclusion):
-                    return SequentCheckReport.failure(
-                        line.index, "not a propositional consequence"
-                    )
-            except GuardExceeded as err:
-                return SequentCheckReport.failure(line.index, str(err))
-        elif isinstance(j, Cut):
-            if j.left not in proved or j.right not in proved:
-                return SequentCheckReport.failure(line.index, "cut cites a missing line")
-            result = cut_sequents(proved[j.left], proved[j.right])
-            if result is None:
-                return SequentCheckReport.failure(
-                    line.index, "cut formula does not occur in the second premise set"
-                )
-            if result != line.sequent:
-                return SequentCheckReport.failure(line.index, "cut result differs")
-        elif isinstance(j, Deduction):
-            if j.source not in proved:
-                return SequentCheckReport.failure(line.index, "deduction cites a missing line")
-            if not deduction_matches(proved[j.source], line.sequent):
-                return SequentCheckReport.failure(line.index, "deduction result differs")
-        elif isinstance(j, DerivedRule):
-            entry = DERIVED_RULES.get(j.rule)
-            if entry is None:
-                return SequentCheckReport.failure(line.index, f"unknown derived rule {j.rule}")
-            arity = entry[0]
-            if len(j.cites) != arity or any(c not in proved for c in j.cites):
-                return SequentCheckReport.failure(line.index, f"{j.rule} cites {arity} line(s)")
-            cited = [proved[c] for c in j.cites]
-            steps = expand(j.rule, cited, line.sequent)
-            if steps is None:
-                return SequentCheckReport.failure(line.index, f"{j.rule} does not apply")
-            problem = check_expansion(cited, steps, line.sequent)
-            if problem:
-                return SequentCheckReport.failure(line.index, problem)
-            expansions.append((line.index, tuple(steps)))
-        else:  # pragma: no cover
-            return SequentCheckReport.failure(line.index, f"unknown justification {j!r}")
-        proved[line.index] = line.sequent
-    return SequentCheckReport(True, expansions=tuple(expansions))
+def _cut(j: Cut, sequent: Sequent, proved) -> Optional[str]:
+    result = cut_sequents(proved[j.left], proved[j.right])
+    if result is None:
+        return "cut formula does not occur in the second premise set"
+    if result != sequent:
+        return "cut result differs"
+    return None
+
+
+def _deduction(j: Deduction, sequent: Sequent, proved) -> Optional[str]:
+    return None if deduction_matches(proved[j.source], sequent) else "deduction result differs"
+
+
+def _derived(j: DerivedRule, sequent: Sequent, proved) -> Union[str, tuple[ExpStep, ...]]:
+    """A derived-rule line is accepted with its re-checked expansion."""
+    entry = DERIVED_RULES.get(j.rule)
+    if entry is None:
+        return f"unknown derived rule {j.rule}"
+    arity = entry[0]
+    if len(j.cites) != arity or any(c not in proved for c in j.cites):
+        return f"{j.rule} cites {arity} line(s)"
+    cited = [proved[c] for c in j.cites]
+    steps = expand(j.rule, cited, sequent)
+    if steps is None:
+        return f"{j.rule} does not apply"
+    return check_expansion(cited, steps, sequent) or tuple(steps)
+
+
+_SEQUENT_RULES = {
+    LukAxiomSequent: (None, _axiom_sequent_instance),
+    CplConsequenceAxiom: (None, _consequence),
+    Cut: ("cut", _cut),
+    Deduction: ("deduction", _deduction),
+    DerivedRule: (None, _derived),
+}
+
+
+def check_sequent_proof(script: SequentScript) -> CheckReport:
+    return check_lines(script.lines, attrgetter("sequent"), _SEQUENT_RULES)
 
 
 # Deduction kernel over categorical atoms.
@@ -458,62 +441,44 @@ INFERENCE_RULES: dict[int, tuple[tuple[Atom, ...], Atom]] = {
 }
 
 
-def _match_rule(rule_id: int, conclusions: list[Atom]) -> Optional[Atom]:
-    patterns, target = INFERENCE_RULES[rule_id]
-    if len(patterns) != len(conclusions):
-        return None
-    subst = match_atoms(list(zip(patterns, conclusions)))
+def _trivial(j: Trivial, claim: DeductionClaim, proved) -> Optional[str]:
+    return None if claim.premises == {claim.conclusion} else "trivial deductions are {x} |- x"
+
+
+def _rule_cut(j: CutWithRule, claim: DeductionClaim, proved) -> Optional[str]:
+    """The cited conclusions, in order, instantiate the premises of rule
+    j.rule_id; the claim pools their premise sets under its conclusion."""
+    sources = [proved[c] for c in (j.first, j.second) if c is not None]
+    patterns, target = INFERENCE_RULES[j.rule_id]
+    pairs = list(zip(patterns, [s.conclusion for s in sources]))
+    subst = match_atoms(pairs) if len(patterns) == len(sources) else None
     if subst is None:
-        return None
-    result = substitute(target, subst)
-    assert isinstance(result, Atom)
-    return result
+        return f"cited conclusions do not match rule {j.rule_id}"
+    premises = frozenset().union(*(s.premises for s in sources))
+    if claim != DeductionClaim(premises, substitute(target, subst)):
+        return "cut result differs"
+    return None
+
+
+def _reductio(j: Reductio, claim: DeductionClaim, proved) -> Optional[str]:
+    source, refuter = proved[j.source], proved[j.refuter]
+    discharged = contradictory(claim.conclusion)
+    if discharged not in source.premises:
+        return "first cited line does not assume the contradictory"
+    if refuter.conclusion != contradictory(source.conclusion):
+        return "second cited line does not prove the contradictory"
+    if claim.premises != (source.premises - {discharged}) | refuter.premises:
+        return "reductio premises differ"
+    return None
+
+
+_DEDUCTION_RULES = {
+    Trivial: (None, _trivial),
+    CutWithRule: ("cut", _rule_cut),
+    Reductio: ("reductio", _reductio),
+}
 
 
 def check_smiley_deduction(script: DeductionScript) -> CheckReport:
-    proved: dict[int, DeductionClaim] = {}
-    previous = 0
-    for line in script.lines:
-        if line.index <= previous:
-            return CheckReport.failure(line.index, "line numbers must increase")
-        previous = line.index
-        claim = line.claim
-        if not claim.premises:
-            return CheckReport.failure(line.index, "premise set must be nonempty")
-        j = line.justification
-        if isinstance(j, Trivial):
-            if claim.premises != frozenset([claim.conclusion]):
-                return CheckReport.failure(line.index, "trivial deductions are {x} |- x")
-        elif isinstance(j, CutWithRule):
-            cites = [j.first] if j.second is None else [j.first, j.second]
-            if any(c not in proved for c in cites):
-                return CheckReport.failure(line.index, "cut cites a missing line")
-            sources = [proved[c] for c in cites]
-            conclusion = _match_rule(j.rule_id, [s.conclusion for s in sources])
-            if conclusion is None:
-                return CheckReport.failure(
-                    line.index, f"cited conclusions do not match rule {j.rule_id}"
-                )
-            premises = frozenset().union(*(s.premises for s in sources))
-            if claim != DeductionClaim(premises, conclusion):
-                return CheckReport.failure(line.index, "cut result differs")
-        elif isinstance(j, Reductio):
-            if j.source not in proved or j.refuter not in proved:
-                return CheckReport.failure(line.index, "reductio cites a missing line")
-            source, refuter = proved[j.source], proved[j.refuter]
-            discharged = contradictory(claim.conclusion)
-            if discharged not in source.premises:
-                return CheckReport.failure(
-                    line.index, "first cited line does not assume the contradictory"
-                )
-            if refuter.conclusion != contradictory(source.conclusion):
-                return CheckReport.failure(
-                    line.index, "second cited line does not prove the contradictory"
-                )
-            premises = (source.premises - {discharged}) | refuter.premises
-            if claim.premises != premises:
-                return CheckReport.failure(line.index, "reductio premises differ")
-        else:  # pragma: no cover
-            return CheckReport.failure(line.index, f"unknown justification {j!r}")
-        proved[line.index] = claim
-    return CheckReport(True)
+    return check_lines(script.lines, attrgetter("claim"), _DEDUCTION_RULES,
+                       lambda claim: None if claim.premises else "premise set must be nonempty")

@@ -2,15 +2,16 @@
 replaced, kept as the reference ``expand`` and ``check_sequent_proof`` are
 compared against: one expander per rule, each building its expansion step by
 step on an ``_Expansion`` and comparing with the stated sequent itself, and
-the proof loop that calls them.  The step record, the report, cut, the
-expansion re-check and CPL consequence come from ``namecalc.sequent``, so that
-reports from both compare equal."""
+the proof loop that calls them.  The step record, cut, the expansion re-check
+and CPL consequence come from ``namecalc.sequent``, and the report from
+``namecalc.proof``, so that reports from both compare equal."""
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from namecalc.core import Bin, Formula, Neg, imp
 from namecalc.parser import format_formula
+from namecalc.proof import CheckReport as SequentCheckReport
 from namecalc.proof import GuardExceeded
 from namecalc.proofscript import (
     CplConsequenceAxiom,
@@ -24,7 +25,6 @@ from namecalc.proofscript import (
 from namecalc.sequent import (
     AXIOM_SEQUENTS,
     ExpStep,
-    SequentCheckReport,
     _apply_subst,
     _flatten_conj,
     _match_axiom_sequent,

@@ -14,12 +14,12 @@ from namecalc.core import Atom, Bin, Functor, Neg, conj, iff, imp
 from namecalc.corpus import DATA_DIR
 from namecalc.decide import Valid, decide
 from namecalc.parser import format_formula, parse_formula, parse_sequent_script
+from namecalc.proof import CheckReport
 from namecalc.proofscript import Cut, Deduction, DerivedRule, Sequent, SequentScript
 from namecalc.semantics import ModelClass
 from namecalc.sequent import (
     DERIVED_RULES,
     ExpStep,
-    SequentCheckReport,
     check_expansion,
     check_sequent_proof,
     expand,
@@ -221,7 +221,7 @@ def test_accepted_mutants_are_sound(mutant):
 def test_unknown_derived_rule():
     text = "1: ==> a(S,S) ; luk Ia\n2: ==> a(S,S) ; rule no-such-rule 1"
     report = check_sequent_proof(parse_sequent_script(text))
-    assert report == SequentCheckReport.failure(2, "unknown derived rule no-such-rule")
+    assert report == CheckReport.failure(2, "unknown derived rule no-such-rule")
 
 
 @pytest.mark.parametrize("line, rule, arity", [
@@ -231,7 +231,7 @@ def test_unknown_derived_rule():
 ])
 def test_wrong_cite_count_or_missing_cite(line, rule, arity):
     report = check_sequent_proof(parse_sequent_script("1: ==> a(S,S) ; luk Ia\n" + line))
-    assert report == SequentCheckReport.failure(2, f"{rule} cites {arity} line(s)")
+    assert report == CheckReport.failure(2, f"{rule} cites {arity} line(s)")
 
 
 DATISI = "1: a(S,P), i(S,S) ==> i(S,P) ; luk Datisi [M:=S]\n"
@@ -273,7 +273,7 @@ def test_every_rule_has_a_misapplied_example():
 def test_misapplied_rule_does_not_apply(rule):
     misapplied = parse_sequent_script(MISAPPLIED[rule])
     report = check_sequent_proof(misapplied)
-    assert report == SequentCheckReport.failure(misapplied.lines[-1].index, f"{rule} does not apply")
+    assert report == CheckReport.failure(misapplied.lines[-1].index, f"{rule} does not apply")
 
 
 # Tampered expansions: every reason of check_expansion.
