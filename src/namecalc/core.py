@@ -93,9 +93,6 @@ class Bin:
 
 Formula = Union[Atom, Neg, Bin]
 
-# Reserved schema letters used by axiom patterns.
-SCHEMA_LETTERS = ("S", "P", "M", "Q")
-
 # A substitution maps name letters to name letters (never compound terms).
 Substitution = Mapping[str, str]
 

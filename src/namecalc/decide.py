@@ -6,11 +6,14 @@ family (eps, neps, ideq) occurs, since truth of every functor depends only on
 those labels.  ``decide`` evaluates truth tables of labelings: a set of
 labelings is a Python int, bit i for the i-th labeling in lexicographic order
 (region 0 slowest), and the bitwise fold ``core.truth`` evaluates a whole
-table at once.  The first falsifying labeling in that order, realized, is the
-countermodel.  Formulas take up to LETTER_LIMIT letters with either
-alphabet (2^16 or 3^16 labelings); a valid 5-letter two-label formula would
-run through 2^32, so it is refused up front.  An independent brute-force
-oracle enumerates raw denotation assignments over a fixed universe, in tables.
+table at once; atoms read ``semantics.SHAPE`` over the regions of their
+zone (``_zone``), the class filter ``semantics.admitted``.  The first
+falsifying labeling in that order, realized, is the countermodel.  Formulas
+take up to LETTER_LIMIT letters with either alphabet (2^16 or 3^16
+labelings); a valid 5-letter two-label formula would run through 2^32, so it
+is refused up front.  An independent brute-force oracle enumerates raw
+denotation assignments over a fixed universe, in tables, and reads the same
+table over element planes, never over regions.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
-from operator import and_, or_, xor
+from operator import and_, or_
 from typing import Optional, Sequence, Union
 
 from .core import Atom, Formula, Functor, digit_columns, distinct_atoms, letters, truth
-from .semantics import _UNIVERSE_MINIMUM, Model, ModelClass, evaluate, in_class
+from .semantics import (
+    _UNIVERSE_MINIMUM, SHAPE, Model, ModelClass, SINGLE, admitted, evaluate, holds, in_class, outside,
+)
 
 
 class Card(IntEnum):
@@ -74,19 +79,12 @@ def realize(
     return model if in_class(model, cls, vocab) else None
 
 
-_EPS_FAMILY = (Functor.EPS, Functor.NEPS, Functor.IDEQ)
-
-
 def needs_three_labels(formula: Formula) -> bool:
-    return any(atom.functor in _EPS_FAMILY for atom in distinct_atoms(formula))
+    return any(SHAPE[atom.functor].need is SINGLE for atom in distinct_atoms(formula))
 
 
 class CapExceeded(ValueError):
     pass
-
-
-def _outside(s: int, p: int) -> int:
-    return (s | p) ^ p  # s & ~p, without a negative int
 
 
 def decide(formula: Formula, cls: ModelClass) -> Verdict:
@@ -124,53 +122,34 @@ def _failing_rows(formula: Formula, cls: ModelClass, vocab: tuple[str, ...],
                   nonempty: list[int], one: list[int], full: int) -> int:
     """The rows of one table that are in the class and falsify the formula,
     from the rows where each region's label is nonempty and where it is One."""
-    regions = range(len(nonempty))
+    regions = len(nonempty)
     has, single, admissible = [], [], full
     for j in range(len(vocab)):
         # seen: some region of letter j is nonempty; two: at least two are.
         seen = two = ones = 0
-        for r in regions:
+        for r in range(regions):
             if r >> j & 1:
                 two |= seen & nonempty[r]
                 seen |= nonempty[r]
                 ones |= one[r]
         has.append(seen)
-        single.append(_outside(ones, two))  # exactly one nonempty region, and it is One
-        if cls is ModelClass.TRADITIONAL:
-            admissible &= seen
-        elif cls is ModelClass.POLYREFERENTIAL:
-            admissible &= _outside(seen, single[j])
-        elif cls is ModelClass.NON_MONOREFERENTIAL:
-            admissible &= full ^ single[j]
+        single.append(outside(ones, two))  # exactly one nonempty region, and it is One
+        admissible &= admitted(cls, seen, single[j], full)
     index = {v: j for j, v in enumerate(vocab)}
 
     def rows(atom: Atom) -> int:
-        s, f = index[atom.subject], atom.functor
-        if f is Functor.EX:
-            return has[s]
-        p = index[atom.predicate]
-        # The regions it needs empty: S outside P, S inside P, or S and P apart.
-        if f in (Functor.A, Functor.O, Functor.KA, Functor.OT, Functor.EPS):
-            zero = (r for r in regions if r >> s & 1 and not r >> p & 1)
-        elif f in (Functor.E, Functor.I, Functor.KE, Functor.KKE, Functor.NEPS):
-            zero = (r for r in regions if r >> s & 1 and r >> p & 1)
-        else:
-            zero = (r for r in regions if (r >> s ^ r >> p) & 1)
-        empty = full ^ reduce(or_, (nonempty[r] for r in zero), 0)
-        if f in (Functor.A, Functor.E, Functor.CEQ):
-            return empty
-        if f in (Functor.O, Functor.I):
-            return full ^ empty
-        if f in (Functor.KA, Functor.KE, Functor.DEQ):
-            return has[s] & empty
-        if f is Functor.OT:
-            return full ^ (has[s] & empty)
-        if f is Functor.KKE:
-            return has[s] & has[p] & empty
-        return single[s] & empty
+        s, p = index[atom.subject], index[atom.predicate or atom.subject]
+        empty = full ^ reduce(or_, (nonempty[r] for r in _zone(atom.functor, s, p, regions)), 0)
+        return holds(SHAPE[atom.functor], empty, has[s], has[p], single[s], full)
 
     values = {atom: rows(atom) for atom in distinct_atoms(formula)}
     return admissible & (full ^ truth(formula, values.__getitem__, full))
+
+
+@lru_cache(maxsize=None)
+def _zone(f: Functor, s: int, p: int, regions: int) -> tuple[int, ...]:
+    """The regions that the atom f(s, p) needs empty, by letter positions."""
+    return tuple(r for r in range(regions) if SHAPE[f].zone(r >> s & 1, r >> p & 1))
 
 
 # Brute-force oracle: every denotation assignment into a universe of u
@@ -183,16 +162,14 @@ ORACLE_MAX_LETTERS = 3
 ORACLE_MAX_UNIVERSE = 8
 
 
-def _oracle_letter(planes: tuple[int, ...], full: int) -> tuple[tuple[int, ...], int, int, dict]:
-    """A letter's element planes, the rows where its denotation has at least
-    one element and exactly one, and the rows each model class admits."""
+def _oracle_letter(planes: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """A letter's element planes, and the rows where its denotation has at
+    least one element and exactly one."""
     has = two = 0
     for plane in planes:
         two |= has & plane
         has |= plane
-    single = has ^ two
-    return planes, has, single, {ModelClass.ALL: full, ModelClass.TRADITIONAL: has,
-                                 ModelClass.POLYREFERENTIAL: two, ModelClass.NON_MONOREFERENTIAL: full ^ single}
+    return planes, has, has ^ two
 
 
 @lru_cache(maxsize=None)
@@ -204,36 +181,22 @@ def _oracle_fixed(universe: int, count: int, spanned: int) -> tuple[tuple[int, .
     every key."""
     planes = tuple(plane for (plane,) in digit_columns(2, spanned))
     full = (1 << (1 << spanned)) - 1
-    fixed = tuple(_oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe], full)
+    fixed = tuple(_oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe])
                   if (count - j) * universe <= spanned else None for j in range(count))
     return planes, fixed, {(f, s, p): _oracle_atom(f, fixed[s], fixed[p], full) for f in Functor
                            for s in range(count) for p in range(count) if fixed[s] and fixed[p]}
 
 
 def _oracle_atom(f: Functor, subject: tuple, predicate: tuple, full: int) -> int:
-    """The rows where the atom holds, from its letters' `_oracle_letter`s."""
-    planes, has, single, _ = subject
-    if f is Functor.EX:
-        return has
-    # The rows with no element of S outside P, none in P, or none in just one.
-    if f in (Functor.A, Functor.O, Functor.KA, Functor.OT, Functor.EPS):
-        element = _outside
-    elif f in (Functor.I, Functor.E, Functor.KE, Functor.KKE, Functor.NEPS):
-        element = and_
+    """The rows where the atom holds, from its letters' `_oracle_letter`s: the
+    zone is empty where no element lies in it.  With one letter on both sides
+    each zone is the letter or nothing, so one row set stands for its planes."""
+    shape = SHAPE[f]
+    if subject is predicate:
+        empty = full ^ shape.zone(subject[1], subject[1])
     else:
-        element = xor
-    none = full ^ reduce(or_, map(element, planes, predicate[0]), 0)
-    if f in (Functor.A, Functor.E, Functor.CEQ):
-        return none
-    if f in (Functor.O, Functor.I):
-        return full ^ none
-    if f in (Functor.KA, Functor.KE, Functor.DEQ):
-        return has & none
-    if f is Functor.OT:
-        return full ^ (has & none)
-    if f is Functor.KKE:
-        return has & predicate[1] & none
-    return single & none
+        empty = full ^ reduce(or_, map(shape.zone, subject[0], predicate[0]), 0)
+    return holds(shape, empty, subject[1], predicate[1], subject[2], full)
 
 
 def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdict:
@@ -261,9 +224,9 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
             for atom in distinct_atoms(formula)}
     for head in range(1 << digits - spanned):
         planes = columns + tuple(full if head >> d & 1 else 0 for d in range(digits - spanned))
-        summaries = [fixed[j] or _oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe], full)
+        summaries = [fixed[j] or _oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe])
                      for j in range(count)]
-        admissible = reduce(and_, (letter[3][cls] for letter in summaries), full)
+        admissible = reduce(and_, (admitted(cls, has, single, full) for _, has, single in summaries), full)
         values = {atom: fixed_atoms[key] if key in fixed_atoms
                   else _oracle_atom(key[0], summaries[key[1]], summaries[key[2]], full)
                   for atom, key in keys.items()}

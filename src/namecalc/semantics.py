@@ -1,16 +1,22 @@
-"""Finite set-theoretic models and truth evaluation.
+"""Finite set-theoretic models, the functor table and truth evaluation.
 
 A model is a finite universe plus a denotation map from name letters to
 subsets of the universe.  Letters absent from the map denote the empty set,
 so a model only ever carries the finite vocabulary in play.
+
+``SHAPE`` holds each functor's truth condition and ``admitted`` each model
+class's, once, in ``|``, ``&`` and ``^`` only: sets and bools here, region
+bits and truth tables of rows in ``decide`` and its oracle.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import and_, xor
 from typing import Iterable, Mapping
 
 from .core import Atom, Formula, Functor, truth
@@ -41,39 +47,75 @@ class ModelClass(Enum):
     NON_MONOREFERENTIAL = "nonmonoreferential"
 
 
+_UNIVERSE_MINIMUM = {
+    ModelClass.ALL: 0,
+    ModelClass.TRADITIONAL: 1,
+    ModelClass.POLYREFERENTIAL: 2,
+    ModelClass.NON_MONOREFERENTIAL: 2,
+}
+
+
+def outside(s, p):
+    """s minus p, for frozensets, region bits and row-table ints alike."""
+    return (s | p) ^ p  # no negative int
+
+
+# What an atom can need besides its empty zone.
+NOTHING, SUBJECT, BOTH, SINGLE = "nothing", "S nonempty", "S and P nonempty", "S a singleton"
+
+# A functor's truth condition: the zone of S and P that must be empty (S
+# outside P, S inside P, or S and P apart), whether the atom is the negation
+# of that, and what else it needs.  ex reads its subject as P too.
+Shape = namedtuple("Shape", "zone negated need")
+SHAPE = {
+    Functor.A: Shape(outside, False, NOTHING),
+    Functor.O: Shape(outside, True, NOTHING),
+    Functor.KA: Shape(outside, False, SUBJECT),
+    Functor.OT: Shape(outside, True, SUBJECT),
+    Functor.EPS: Shape(outside, False, SINGLE),
+    Functor.EX: Shape(outside, False, SUBJECT),
+    Functor.E: Shape(and_, False, NOTHING),
+    Functor.I: Shape(and_, True, NOTHING),
+    Functor.KE: Shape(and_, False, SUBJECT),
+    Functor.KKE: Shape(and_, False, BOTH),
+    Functor.NEPS: Shape(and_, False, SINGLE),
+    Functor.CEQ: Shape(xor, False, NOTHING),
+    Functor.DEQ: Shape(xor, False, SUBJECT),
+    Functor.IDEQ: Shape(xor, False, SINGLE),
+}
+
+
+def holds(shape: Shape, empty, has_s, has_p, single_s, full):
+    """Where an atom holds, from where its zone is empty, where S and P have
+    an element and where S has exactly one: bools with full True, or sets of
+    rows with full the set of all rows."""
+    _, negated, need = shape
+    if need is SUBJECT:
+        empty &= has_s
+    elif need is BOTH:
+        empty &= has_s & has_p
+    elif need is SINGLE:
+        empty &= single_s
+    return full ^ empty if negated else empty
+
+
+def admitted(cls: ModelClass, has, single, full):
+    """Where one letter's denotation is allowed in the class, from where it
+    has an element and where it has exactly one, as in ``holds``."""
+    if cls is ModelClass.ALL:
+        return full
+    if cls is ModelClass.TRADITIONAL:
+        return has
+    if cls is ModelClass.POLYREFERENTIAL:
+        return has ^ single  # at least two
+    return full ^ single
+
+
 def atom_true(model: Model, atom: Atom) -> bool:
+    shape = SHAPE[atom.functor]
     ds = model.of(atom.subject)
-    if atom.functor is Functor.EX:
-        return bool(ds)
-    dp = model.of(atom.predicate)
-    f = atom.functor
-    if f is Functor.A:
-        return ds <= dp
-    if f is Functor.I:
-        return bool(ds & dp)
-    if f is Functor.E:
-        return not ds & dp
-    if f is Functor.O:
-        return bool(ds - dp)
-    if f is Functor.KA:
-        return bool(ds) and ds <= dp
-    if f is Functor.KE:
-        return bool(ds) and not ds & dp
-    if f is Functor.KKE:
-        return bool(ds) and bool(dp) and not ds & dp
-    if f is Functor.CEQ:
-        return ds == dp
-    if f is Functor.DEQ:
-        return bool(ds) and ds == dp
-    if f is Functor.OT:
-        return not (bool(ds) and ds <= dp)
-    if f is Functor.EPS:
-        return len(ds) == 1 and ds <= dp
-    if f is Functor.NEPS:
-        return len(ds) == 1 and not ds & dp
-    if f is Functor.IDEQ:
-        return len(ds) == 1 and ds == dp
-    raise AssertionError(f"unhandled functor {f}")
+    dp = model.of(atom.predicate or atom.subject)
+    return holds(shape, not shape.zone(ds, dp), bool(ds), bool(dp), len(ds) == 1, True)
 
 
 def evaluate(model: Model, formula: Formula) -> bool:
@@ -83,23 +125,8 @@ def evaluate(model: Model, formula: Formula) -> bool:
 
 def in_class(model: Model, cls: ModelClass, vocab: Iterable[str]) -> bool:
     """Class membership, checked over the supplied vocabulary only."""
-    if cls is ModelClass.ALL:
-        return True
-    if cls is ModelClass.TRADITIONAL:
-        return bool(model.universe) and all(len(model.of(v)) >= 1 for v in vocab)
-    if cls is ModelClass.POLYREFERENTIAL:
-        return len(model.universe) >= 2 and all(len(model.of(v)) >= 2 for v in vocab)
-    if cls is ModelClass.NON_MONOREFERENTIAL:
-        return len(model.universe) >= 2 and all(len(model.of(v)) != 1 for v in vocab)
-    raise AssertionError(cls)
-
-
-_UNIVERSE_MINIMUM = {
-    ModelClass.ALL: 0,
-    ModelClass.TRADITIONAL: 1,
-    ModelClass.POLYREFERENTIAL: 2,
-    ModelClass.NON_MONOREFERENTIAL: 2,
-}
+    return len(model.universe) >= _UNIVERSE_MINIMUM[cls] and all(
+        admitted(cls, bool(d), len(d) == 1, True) for d in map(model.of, vocab))
 
 
 def random_model(seed: int, vocab: Iterable[str], cls: ModelClass, max_universe: int) -> Model:
@@ -108,8 +135,6 @@ def random_model(seed: int, vocab: Iterable[str], cls: ModelClass, max_universe:
     minimum = _UNIVERSE_MINIMUM[cls]
     if max_universe < minimum:
         raise ValueError(f"{cls.value} models need a universe of at least {minimum}")
-    if cls is ModelClass.POLYREFERENTIAL and vocab and max_universe < 2:
-        raise ValueError("polyreferential denotations need at least two elements")
     rng = random.Random(seed)
     size = rng.randint(minimum, max_universe)
     universe = [f"u{k}" for k in range(size)]

@@ -22,24 +22,20 @@ class AxiomSchema:
     pattern: Formula
 
 
-def _atom(functor: Functor, s: str, p: str | None = None) -> Atom:
-    return Atom(functor, s, p)
-
-
-a = partial(_atom, Functor.A)
-i = partial(_atom, Functor.I)
-e = partial(_atom, Functor.E)
-o = partial(_atom, Functor.O)
-ka = partial(_atom, Functor.KA)
-ke = partial(_atom, Functor.KE)
-kke = partial(_atom, Functor.KKE)
-ceq = partial(_atom, Functor.CEQ)
-deq = partial(_atom, Functor.DEQ)
-ot = partial(_atom, Functor.OT)
-eps = partial(_atom, Functor.EPS)
-neps = partial(_atom, Functor.NEPS)
-ideq = partial(_atom, Functor.IDEQ)
-ex = partial(_atom, Functor.EX)
+a = partial(Atom, Functor.A)
+i = partial(Atom, Functor.I)
+e = partial(Atom, Functor.E)
+o = partial(Atom, Functor.O)
+ka = partial(Atom, Functor.KA)
+ke = partial(Atom, Functor.KE)
+kke = partial(Atom, Functor.KKE)
+ceq = partial(Atom, Functor.CEQ)
+deq = partial(Atom, Functor.DEQ)
+ot = partial(Atom, Functor.OT)
+eps = partial(Atom, Functor.EPS)
+neps = partial(Atom, Functor.NEPS)
+ideq = partial(Atom, Functor.IDEQ)
+ex = partial(Atom, Functor.EX)
 
 
 _SCHEMA_TABLE: list[AxiomSchema] = [

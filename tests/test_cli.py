@@ -6,7 +6,7 @@ import pytest
 from namecalc import cli
 from namecalc.cli import build_parser, main, run
 from namecalc.parser import format_model, parse_model
-from namecalc.representation import format_structure, structure_from_model
+from namecalc.representation import I_SET_CARRIER_LIMIT, format_structure, structure_from_model
 from namecalc.semantics import ModelClass, random_model
 
 
@@ -136,6 +136,28 @@ def test_represent_subcommand(tmp_path, capsys):
     path.write_text(format_structure(structure))
     code, out, _ = invoke(capsys, "represent", "--kind", "c", "--structure", str(path))
     assert code == 0 and out.startswith("OK")
+
+
+@pytest.mark.parametrize("size", [I_SET_CARRIER_LIMIT, I_SET_CARRIER_LIMIT + 1])
+def test_i_set_enumeration_is_capped(tmp_path, capsys, size):
+    # The worst case: every nonempty subset of the carrier is an I-set.
+    carrier = [f"x{k}" for k in range(size)]
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"carrier": carrier, "A": [[x, x] for x in carrier],
+                                     "I": [[x, y] for x in carrier for y in carrier]}))
+    # Each letter denotes all but one element, so its diagram is that structure.
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"universe": carrier, "denotation": {
+        f"L{k}": carrier[:k] + carrier[k + 1:] for k in range(size)}}))
+    represented = invoke(capsys, "represent", "--kind", "b1", "--structure", str(structure), "--json")
+    rebuilt = invoke(capsys, "canonical", "--system", "sh", "--method", "filters", "--model", str(model))
+    if size > I_SET_CARRIER_LIMIT:
+        guard = f"guard: {size} carrier elements exceed the I-set cap ({I_SET_CARRIER_LIMIT})\n"
+        assert represented == rebuilt == (2, "", guard)
+        return
+    assert represented[0] == rebuilt[0] == 0
+    assert len(json.loads(represented[1])["e"]["x0"]) == 1 << size - 1
+    assert len(parse_model(rebuilt[1].strip()).universe) == (1 << size) - 1
 
 
 @pytest.mark.parametrize("text", ['["x"]', '{"carrier": ["x"], "A": 5, "I": []}'])

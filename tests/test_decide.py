@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from conftest import formulas_st
 from decide_reference import reference_decide
 from oracle_reference import reference_oracle
-from namecalc.core import letters
+from namecalc.core import Atom, Functor, Neg, letters
 from namecalc.corpus import corpus_entries
 from namecalc.decide import (
     Card,
@@ -272,6 +272,28 @@ def test_decide_matches_the_reference_on_four_letters(table_rows):
             checked += 1
         chain = parse_formula("a(S,P) & a(P,M) & a(M,Q) -> a(S,Q)")  # every table, to the end
         assert _output(decide(chain, ModelClass.ALL)) == _reference_output(chain, ModelClass.ALL)
+
+
+def _every_atom_and_negation():
+    """Each binary functor on (S,P), (P,S) and (S,S), and ex(S), each plain and
+    negated: every row of the functor table in every letter pattern."""
+    atoms = [Atom(Functor.EX, "S")] + [Atom(f, s, p) for f in Functor if f.arity == 2
+                                       for s, p in [("S", "P"), ("P", "S"), ("S", "S")]]
+    return [formula for atom in atoms for formula in (atom, Neg(atom))]
+
+
+@pytest.mark.parametrize("table_rows", TABLE_SIZES)
+def test_decide_matches_the_reference_on_every_functor(table_rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide_module, "TABLE_ROWS", table_rows)
+        for formula, cls in itertools.product(_every_atom_and_negation(), ModelClass):
+            assert _output(decide(formula, cls)) == _reference_output(formula, cls), (formula, cls)
+
+
+def test_oracle_matches_the_reference_on_every_functor():
+    for formula, cls, universe in itertools.product(_every_atom_and_negation(), ModelClass, range(5)):
+        assert _output(oracle_decide(formula, cls, universe)) == \
+            _reference_oracle_output(formula, cls, universe), (formula, cls, universe)
 
 
 def test_oracle_examples_and_guards():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -5,8 +7,10 @@ import hypothesis.strategies as st
 from namecalc.core import Atom, Functor
 from namecalc.parser import parse_formula
 from namecalc.semantics import (
+    SHAPE,
     Model,
     ModelClass,
+    atom_true,
     evaluate,
     in_class,
     make_model,
@@ -14,6 +18,7 @@ from namecalc.semantics import (
 )
 
 from conftest import formulas_st
+from semantics_reference import reference_atom_true, reference_in_class
 
 PAIRS = [("S", "P"), ("P", "S"), ("S", "S"), ("P", "P")]
 
@@ -135,3 +140,33 @@ def test_random_model_infeasible_request():
 def test_model_rejects_stray_denotation():
     with pytest.raises(ValueError):
         make_model(["u0"], {"S": ["u1"]})
+
+
+def _subsets(universe):
+    return [frozenset(c) for k in range(len(universe) + 1) for c in itertools.combinations(universe, k)]
+
+
+def test_the_table_covers_every_functor():
+    assert set(SHAPE) == set(Functor)
+
+
+def test_atom_true_matches_the_reference_ladder_exhaustively():
+    # Six elements give every count 0, 1 and >= 2 in each zone of S and P.
+    universe = [f"u{k}" for k in range(6)]
+    for ds, dp in itertools.product(_subsets(universe), repeat=2):
+        model = make_model(universe, {"S": ds, "P": dp})
+        for functor in Functor:
+            atom = Atom(functor, "S") if functor.arity == 1 else Atom(functor, "S", "P")
+            assert atom_true(model, atom) == reference_atom_true(model, atom), (functor, ds, dp)
+
+
+def test_in_class_matches_the_reference_exhaustively():
+    pool = ("S", "P", "M")  # M is never assigned, so it denotes the empty set
+    vocabs = [vocab for k in range(len(pool) + 1) for vocab in itertools.combinations(pool, k)]
+    for size in range(4):
+        universe = [f"u{k}" for k in range(size)]
+        for ds, dp in itertools.product(_subsets(universe), repeat=2):
+            model = make_model(universe, {"S": ds, "P": dp})
+            for cls, vocab in itertools.product(ModelClass, vocabs):
+                assert in_class(model, cls, vocab) == reference_in_class(model, cls, vocab), \
+                    (cls, vocab, ds, dp)
