@@ -27,12 +27,7 @@ from .parser import (
     parse_sequent_script,
 )
 from .proof import Basis, CheckReport, GuardExceeded, check_proof, expand_definitions
-from .representation import (
-    canonical_model,
-    parse_structure,
-    represent,
-    verify_structure,
-)
+from .representation import StructureViolation, canonical_model, parse_structure, represent
 from .semantics import ModelClass, evaluate
 from .sequent import check_sequent_proof, check_smiley_deduction
 from .systems import system
@@ -154,16 +149,16 @@ def _cmd_canonical(args) -> int:
 def _cmd_represent(args) -> int:
     structure = parse_structure(Path(args.structure).read_text())
     kind = {"b1": "B1", "b3": "B3", "c": "C"}[args.kind]
-    violations = verify_structure(structure, kind)
-    if violations:
-        name, witness = violations[0]
+    try:
+        e_map, report = represent(structure, kind)
+    except StructureViolation as err:
+        name, witness = err.violations[0]
         _emit(
-            {"ok": False, "violations": [[n, list(w)] for n, w in violations]},
+            {"ok": False, "violations": [[n, list(w)] for n, w in err.violations]},
             args.json,
             f"VIOLATION {name} at ({','.join(witness)})",
         )
         return REJECTED
-    e_map, report = represent(structure, kind)
     image = {x: sorted(_point_name(p) for p in points) for x, points in sorted(e_map.items())}
     if report.ok:
         _emit({"ok": True, "e": image}, args.json, "OK " + json.dumps(image, sort_keys=True))

@@ -7,6 +7,11 @@ carrier element to a family of points so that the three relations turn into
 inclusion, intersection and singleton-inclusion of point sets.  The
 canonical-model constructions rebuild a model from nothing but the atomic
 facts it satisfies, over a fixed finite vocabulary, and preserve atomic truth.
+
+Both read one element table, turned into extents by one rule (``_extents``):
+a row per point, with the letters it lies in and whether a singular letter
+(a true ``eps(x,x)``) keeps it.  Rows are I-sets (filters), overlap pairs,
+mutual-A blocks, and a point per inhabited letter.
 """
 
 from __future__ import annotations
@@ -98,6 +103,14 @@ def verify_structure(structure: RelationalStructure, kind: str) -> list[Violatio
     return out
 
 
+def _up(structure: RelationalStructure) -> dict[str, frozenset[str]]:
+    """Each element's A-successors."""
+    return {
+        x: frozenset(y for y in structure.carrier if structure.a(x, y))
+        for x in structure.carrier
+    }
+
+
 # The enumeration walks every subset of the carrier.  When every subset is an
 # I-set (A the identity, I total), `represent` took 0.6 s at 13 elements and
 # 1.25 s at 14 on a 2-core VM, and each element doubles time and memory.
@@ -112,24 +125,12 @@ def i_sets(structure: RelationalStructure) -> list[frozenset[str]]:
     if len(carrier) > I_SET_CARRIER_LIMIT:
         raise GuardExceeded(
             f"{len(carrier)} carrier elements exceed the I-set cap ({I_SET_CARRIER_LIMIT})")
+    up = _up(structure)
     for bits in range(1, 1 << len(carrier)):
         subset = frozenset(c for j, c in enumerate(carrier) if bits >> j & 1)
-        if _is_i_set(structure, subset):
+        if all(up[x] <= subset and all(structure.i(x, y) for y in subset) for x in subset):
             out.append(subset)
     return sorted(out, key=lambda f: (len(f), tuple(sorted(f))))
-
-
-def _is_i_set(structure: RelationalStructure, subset: frozenset[str]) -> bool:
-    if not subset:
-        return False
-    for x in subset:
-        for y in structure.carrier:
-            if structure.a(x, y) and y not in subset:
-                return False
-        for y in subset:
-            if not structure.i(x, y):
-                return False
-    return True
 
 
 def bracket(structure: RelationalStructure, x: str, y: str) -> Optional[frozenset[str]]:
@@ -139,7 +140,34 @@ def bracket(structure: RelationalStructure, x: str, y: str) -> Optional[frozense
     return frozenset(z for z in structure.carrier if structure.a(x, z) or structure.a(y, z))
 
 
-Point = tuple[str, object]  # ("iset", frozenset) or ("el", carrier element)
+Point = tuple[str, object]  # a tag and a frozenset of elements, or one element
+Row = tuple[Point, frozenset[str], bool]  # a point, the elements it lies in, kept by singular ones
+
+
+class StructureViolation(ValueError):
+    """The structure fails a condition of its kind; ``violations`` lists them all."""
+
+    def __init__(self, violations: list[Violation]) -> None:
+        super().__init__(f"structure violates {violations[0][0]} at {violations[0][1]}")
+        self.violations = violations
+
+
+def _letter_rows(structure: RelationalStructure, up: dict[str, frozenset[str]], tag: str) -> list[Row]:
+    """A point for each inhabited element c, lying in every y with A(c, y);
+    singular elements drop it."""
+    return [((tag, c), up[c], False) for c in structure.carrier if structure.i(c, c)]
+
+
+def _extents(structure: RelationalStructure, rows: list[Row]) -> dict[str, frozenset]:
+    """Each element's extent: the points of the rows that lie in it, except
+    that a singular element keeps only the rows marked to be kept."""
+    singular = {x for x in structure.carrier if structure.e(x, x)}
+    extents: dict[str, set] = {x: set() for x in structure.carrier}
+    for point, members, keep in rows:
+        for x in members:
+            if keep or x not in singular:
+                extents[x].add(point)
+    return {x: frozenset(points) for x, points in extents.items()}
 
 
 @dataclass(frozen=True)
@@ -155,17 +183,15 @@ def represent(structure: RelationalStructure, kind: str) -> tuple[dict[str, froz
     """The point-set map e and the report of its exchange properties:
     Axy iff e(x) is a subset of e(y); Ixy iff e(x) meets e(y); for kind C,
     eps xy iff e(x) is a singleton inside e(y); for kind B3, no e(x) is empty.
+    A structure that fails its kind's conditions raises ``StructureViolation``.
     """
     violations = verify_structure(structure, kind)
     if violations:
-        raise ValueError(f"structure violates {violations[0][0]} at {violations[0][1]}")
-    family = i_sets(structure)
-    e_map: dict[str, frozenset[Point]] = {}
-    for x in structure.carrier:
-        points: set[Point] = {("iset", f) for f in family if x in f}
-        if kind == "C" and not structure.e(x, x):
-            points |= {("el", c) for c in structure.carrier if structure.i(c, c) and structure.a(c, x)}
-        e_map[x] = frozenset(points)
+        raise StructureViolation(violations)
+    rows: list[Row] = [(("iset", f), f, True) for f in i_sets(structure)]
+    if kind == "C":
+        rows += _letter_rows(structure, _up(structure), "el")
+    e_map = _extents(structure, rows)
     failures = []
     for x, y in itertools.product(structure.carrier, repeat=2):
         if structure.a(x, y) != (e_map[x] <= e_map[y]):
@@ -243,30 +269,8 @@ def format_structure(structure: RelationalStructure) -> str:
 
 def congruence_classes(structure: RelationalStructure) -> dict[str, frozenset[str]]:
     """Blocks of the mutual-A relation over the carrier."""
-    blocks: dict[str, frozenset[str]] = {}
-    for letter in structure.carrier:
-        blocks[letter] = frozenset(
-            other
-            for other in structure.carrier
-            if structure.a(letter, other) and structure.a(other, letter)
-        )
-    return blocks
-
-
-def _filter_name(subset: frozenset[str]) -> str:
-    return "flt:" + ",".join(sorted(subset))
-
-
-def _pair_name(pair: frozenset[str]) -> str:
-    return "pr:" + ",".join(sorted(pair))
-
-
-def _block_name(block: frozenset[str]) -> str:
-    return "blk:" + ",".join(sorted(block))
-
-
-def _letter_name(letter: str) -> str:
-    return "lt:" + letter
+    up = _up(structure)
+    return {x: frozenset(y for y in up[x] if x in up[y]) for x in structure.carrier}
 
 
 CANONICAL_SYSTEMS = ("SH", "LUK", "SHIS")
@@ -304,81 +308,25 @@ def canonical_model(
     if not vocab:
         return Model(frozenset(), {})  # no letters, so no atomic facts to rebuild
     diagram = structure_from_model(model, vocab, with_eps=system == "SHIS")
+    up = _up(diagram)
     if method == "filters":
-        return _canonical_filters(diagram, system, force_nonmono)
-    return _canonical_pairs(diagram, system, force_nonmono)
+        rows: list[Row] = [(("flt", f), f, True) for f in i_sets(diagram)]
+    else:
+        pairs = {frozenset((m, q)) for m, q in itertools.product(vocab, repeat=2) if diagram.i(m, q)}
+        rows = [(("pr", p), frozenset().union(*(up[m] for m in p)), False) for p in pairs]
+        if system == "SHIS":
+            blocks = congruence_classes(diagram)
+            rows += [(("blk", blocks[v]), up[v], True) for v in vocab if diagram.i(v, v)]
+    if system == "SHIS" or force_nonmono:
+        rows += _letter_rows(diagram, up, "lt")
+    named = [(_element_name(point), members, keep) for point, members, keep in rows]
+    return Model(frozenset(name for name, _, _ in named), _extents(diagram, named))
 
 
-def _canonical_filters(diagram: RelationalStructure, system: str, force_nonmono: bool) -> Model:
-    filters = i_sets(diagram)
-    filter_elements = {f: _filter_name(f) for f in filters}
-    shis_like = system == "SHIS" or force_nonmono
-    letter_elements = (
-        {v: _letter_name(v) for v in diagram.carrier if diagram.i(v, v)} if shis_like else {}
-    )
-    universe = set(filter_elements.values()) | set(letter_elements.values())
-    denotation = {}
-    for letter in diagram.carrier:
-        extent = {name for f, name in filter_elements.items() if letter in f}
-        if shis_like and not (system == "SHIS" and diagram.e(letter, letter)):
-            extent |= {
-                name
-                for member, name in letter_elements.items()
-                if diagram.a(member, letter)
-            }
-        denotation[letter] = frozenset(extent)
-    return Model(frozenset(universe), denotation)
-
-
-def _canonical_pairs(diagram: RelationalStructure, system: str, force_nonmono: bool) -> Model:
-    vocab = diagram.carrier
-    pairs = {
-        frozenset((m, q))
-        for m, q in itertools.product(vocab, repeat=2)
-        if diagram.i(m, q)
-    }
-    pair_elements = {p: _pair_name(p) for p in pairs}
-    shis_like = system == "SHIS" or force_nonmono
-    letter_elements = (
-        {v: _letter_name(v) for v in vocab if diagram.i(v, v)} if shis_like else {}
-    )
-    block_elements = {}
-    if system == "SHIS":
-        blocks = congruence_classes(diagram)
-        block_elements = {
-            v: _block_name(blocks[v]) for v in vocab if diagram.i(v, v)
-        }
-    universe = (
-        set(pair_elements.values())
-        | set(letter_elements.values())
-        | set(block_elements.values())
-    )
-    denotation = {}
-    for letter in vocab:
-        if system == "SHIS" and diagram.e(letter, letter):
-            extent = {
-                name
-                for member, name in block_elements.items()
-                if diagram.a(member, letter)
-            }
-        else:
-            extent = {
-                name
-                for pair, name in pair_elements.items()
-                if any(diagram.a(member, letter) for member in pair)
-            }
-            extent |= {
-                name
-                for member, name in block_elements.items()
-                if diagram.a(member, letter)
-            }
-            extent |= {
-                name
-                for member, name in letter_elements.items()
-                if diagram.a(member, letter)
-            }
-        denotation[letter] = frozenset(extent)
-    return Model(frozenset(universe), denotation)
+def _element_name(point: Point) -> str:
+    """``tag:`` and the point's letters, sorted and comma-separated."""
+    tag, letters = point
+    return f"{tag}:{letters if isinstance(letters, str) else ','.join(sorted(letters))}"
 
 
 def atomic_agreement(model: Model, canonical: Model, vocab: Iterable[str], with_eps: bool) -> list[Atom]:

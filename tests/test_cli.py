@@ -138,6 +138,18 @@ def test_represent_subcommand(tmp_path, capsys):
     assert code == 0 and out.startswith("OK")
 
 
+def test_represent_reports_every_violation(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text('{"carrier":["x","y"],"A":[["x","x"]],"I":[["x","y"]]}')
+    assert invoke(capsys, "represent", "--kind", "b1", "--structure", str(path)) == (
+        1, "VIOLATION B1 at (y)\n", "")
+    code, out, err = invoke(capsys, "represent", "--kind", "b1", "--structure", str(path), "--json")
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"ok": false, "version": 1, "violations": [["B1", ["y"]], ["B3", ["x", "x", "y"]], '
+        '["B4", ["x", "y"]], ["B5", ["x", "y"]], ["B5", ["y", "x"]], ["B5", ["y", "y"]]]}\n')
+
+
 @pytest.mark.parametrize("size", [I_SET_CARRIER_LIMIT, I_SET_CARRIER_LIMIT + 1])
 def test_i_set_enumeration_is_capped(tmp_path, capsys, size):
     # The worst case: every nonempty subset of the carrier is an I-set.

@@ -3,9 +3,12 @@ import itertools
 import pytest
 
 from namecalc.core import Atom, Functor
-from namecalc.parser import ParseError, parse_model
+from namecalc.parser import ParseError, format_model, parse_model
 from namecalc.representation import (
+    CANONICAL_METHODS,
+    CANONICAL_SYSTEMS,
     RelationalStructure,
+    StructureViolation,
     atomic_agreement,
     bracket,
     canonical_model,
@@ -18,6 +21,7 @@ from namecalc.representation import (
     verify_structure,
 )
 from namecalc.semantics import ModelClass, evaluate, make_model, random_model
+from representation_reference import reference_canonical_model, reference_represent
 
 VOCAB3 = ("S", "P", "M")
 
@@ -90,8 +94,10 @@ def test_represent_on_random_b3_structures():
 
 def test_represent_requires_a_clean_structure():
     bad = RelationalStructure(("x", "y"), frozenset([("x", "x")]), frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(StructureViolation, match=r"^structure violates B1 at \('y',\)$") as raised:
         represent(bad, "B1")
+    assert isinstance(raised.value, ValueError)
+    assert raised.value.violations == verify_structure(bad, "B1")
 
 
 def test_structure_json_round_trip():
@@ -209,3 +215,90 @@ def test_canonical_model_from_json_model():
     model = parse_model('{"universe":["u0","u1"],"denotation":{"S":["u0","u1"],"P":["u0"]}}')
     built = canonical_model(model, "SHIS", "filters", ["S", "P"])
     assert atomic_agreement(model, built, ["S", "P"], True) == []
+
+
+LETTERS6 = ("M", "P", "Q", "R", "S", "T")
+
+
+def _sample_models(seeds=60):
+    """Seeded models over 0-6 letters, in three classes; on odd seeds the
+    model does not denote the last letter of the vocabulary."""
+    classes = (ModelClass.ALL, ModelClass.TRADITIONAL, ModelClass.NON_MONOREFERENTIAL)
+    for n in range(7):
+        vocab = LETTERS6[:n]
+        for seed in range(seeds):
+            yield vocab, random_model(seed, vocab[: n - seed % 2], classes[seed % 3], 2 + seed % 3)
+
+
+def _outcome(build, *args):
+    try:
+        return format_model(build(*args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_canonical_models_match_the_reference():
+    refused = 0
+    for vocab, model in _sample_models():
+        for system, method, force in itertools.product(
+            CANONICAL_SYSTEMS, CANONICAL_METHODS, (False, True)
+        ):
+            args = (model, system, method, vocab, force)
+            expected = _outcome(reference_canonical_model, *args)
+            assert _outcome(canonical_model, *args) == expected, args
+            refused += expected.startswith("ValueError: LUK")
+    assert refused  # non-traditional models reach LUK's refusal
+
+
+def _represent_outcome(build, structure, kind):
+    try:
+        return build(structure, kind)
+    except ValueError as err:
+        return str(err)
+
+
+def test_represent_matches_the_reference():
+    violated = 0
+    for vocab, model in _sample_models(seeds=30):
+        if not vocab:
+            continue
+        for with_eps, kind in itertools.product((True, False), ("B1", "B3", "C")):
+            structure = structure_from_model(model, vocab, with_eps)
+            expected = _represent_outcome(reference_represent, structure, kind)
+            assert _represent_outcome(represent, structure, kind) == expected, (vocab, kind, with_eps)
+            violated += isinstance(expected, str)
+    assert violated  # empty letters break B3's I-reflexivity
+
+
+def _canonical_point(point):
+    tag, value = point
+    return "flt:" + ",".join(sorted(value)) if tag == "iset" else "lt:" + value
+
+
+def test_filters_model_is_the_represent_map_of_its_diagram():
+    """The rewrite rests on this: the filters model's denotation is
+    ``represent``'s map of the model's diagram, with I-set points named
+    ``flt:`` and letter points ``lt:``.  Its universe adds one thing: the
+    ``lt:`` point of every inhabited letter, also when it lies in no image
+    (each letter above it is singular under SHIS)."""
+    kinds = {("SH", False): "B1", ("LUK", False): "B3", ("SHIS", False): "C",
+             ("SH", True): "C", ("LUK", True): "C"}
+    outside_every_image = 0
+    for vocab, model in _sample_models():
+        if not vocab:
+            continue
+        for (system, force), kind in kinds.items():
+            try:
+                built = canonical_model(model, system, "filters", vocab, force)
+            except ValueError:  # LUK refuses a model that is not traditional
+                continue
+            diagram = structure_from_model(model, vocab, with_eps=system == "SHIS")
+            e_map, report = represent(diagram, kind)
+            assert report.ok
+            images = {x: frozenset(map(_canonical_point, points)) for x, points in e_map.items()}
+            assert dict(built.denotation) == images
+            covered = frozenset().union(*images.values())
+            letter_points = {f"lt:{v}" for v in vocab if diagram.i(v, v)} if kind == "C" else set()
+            assert built.universe == covered | letter_points
+            outside_every_image += not letter_points <= covered
+    assert outside_every_image
