@@ -113,7 +113,8 @@ def decide(formula: Formula, cls: ModelClass) -> Verdict:
             row = (failing & -failing).bit_length() - 1
             digits = (row // base**d % base for d in reversed(range(spanned)))
             model = realize(vocab, head + tuple(alphabet[d] for d in digits), cls)
-            assert model is not None
+            if model is None:
+                raise RuntimeError(f"the first falsifying labeling is not realized in {cls.value}")
             return Countermodel(model)
     return Valid()
 
@@ -156,47 +157,27 @@ def _zone(f: Functor, s: int, p: int, regions: int) -> tuple[int, ...]:
 # elements, in truth tables.  Bit (k-1-j)*u + e of assignment i says whether
 # element e is in letter j's denotation, so the first letter varies slowest.
 # Tables split the digits of i as in decide, the head digits ascending; a
-# digit's plane is the set of rows where it is 1.
+# digit's plane is the set of rows where it is 1, and a head digit's plane is
+# all rows or none, by its bit of the table's head.  So what the head digits
+# fix is worked out once per call, not once per table: a letter's row sets
+# take one of three forms, by how many of its head digits are set, and an
+# atom's zone is its part over the elements whose planes are both spanned,
+# ORed with one term per other element, precomputed for each value of that
+# element's head bits.
 
 ORACLE_MAX_LETTERS = 3
 ORACLE_MAX_UNIVERSE = 8
 
 
-def _oracle_letter(planes: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
-    """A letter's element planes, and the rows where its denotation has at
-    least one element and exactly one."""
+def _oracle_letter(planes: list[int], heads: int, full: int) -> list[tuple[int, int]]:
+    """The rows where a letter's denotation has at least one element and
+    exactly one, from its spanned planes, for none, one, and two or more of
+    its `heads` head digits set."""
     has = two = 0
     for plane in planes:
         two |= has & plane
         has |= plane
-    return planes, has, has ^ two
-
-
-@lru_cache(maxsize=None)
-def _oracle_fixed(universe: int, count: int, spanned: int) -> tuple[tuple[int, ...], tuple, dict]:
-    """What no head digit touches, the same in every table: the planes of the
-    spanned digits; per letter, `_oracle_letter` if no head digit is the
-    letter's, else None; and `_oracle_atom` of each functor over such letters.
-    At most 3 letters and 126 atoms of at most 2^16 bits, about 3 MB over
-    every key."""
-    planes = tuple(plane for (plane,) in digit_columns(2, spanned))
-    full = (1 << (1 << spanned)) - 1
-    fixed = tuple(_oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe])
-                  if (count - j) * universe <= spanned else None for j in range(count))
-    return planes, fixed, {(f, s, p): _oracle_atom(f, fixed[s], fixed[p], full) for f in Functor
-                           for s in range(count) for p in range(count) if fixed[s] and fixed[p]}
-
-
-def _oracle_atom(f: Functor, subject: tuple, predicate: tuple, full: int) -> int:
-    """The rows where the atom holds, from its letters' `_oracle_letter`s: the
-    zone is empty where no element lies in it.  With one letter on both sides
-    each zone is the letter or nothing, so one row set stands for its planes."""
-    shape = SHAPE[f]
-    if subject is predicate:
-        empty = full ^ shape.zone(subject[1], subject[1])
-    else:
-        empty = full ^ reduce(or_, map(shape.zone, subject[0], predicate[0]), 0)
-    return holds(shape, empty, subject[1], predicate[1], subject[2], full)
+    return [(has, has ^ two), (full, full ^ has), (full, 0)][:heads + 1]
 
 
 def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdict:
@@ -217,19 +198,49 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     digits = universe * count
     spanned = min(digits, TABLE_ROWS.bit_length() - 1)
     full = (1 << (1 << spanned)) - 1
-    columns, fixed, fixed_atoms = _oracle_fixed(universe, count, spanned)
+    # Per digit, the planes it can have and the head bit that picks one: a
+    # spanned digit's one plane, and `digits`, a bit no head has; or a head
+    # digit's no rows and all rows, and its bit.
+    planes = [((plane,), digits) for (plane,) in digit_columns(2, spanned)] + \
+        [((0, full), bit) for bit in range(digits - spanned)]
+    own = [planes[(count - 1 - j) * universe:(count - j) * universe] for j in range(count)]
+    masks = [sum(1 << bit for _, bit in elements if bit < digits) for elements in own]
+    summaries = [_oracle_letter([choices[0] for choices, bit in elements if bit == digits],
+                                mask.bit_count(), full) for elements, mask in zip(own, masks)]
+    allowed = [[admitted(cls, has, single, full) for has, single in summary] for summary in summaries]
+    # Letters without head digits pass the class filter on the same rows in every table.
+    settled = reduce(and_, (rows[0] for rows, mask in zip(allowed, masks) if not mask), full)
+    moving = [j for j, mask in enumerate(masks) if mask]
     index = {v: j for j, v in enumerate(vocab)}
-    # ex(S) reads only S, so S stands in for the predicate it lacks.
-    keys = {atom: (atom.functor, index[atom.subject], index[atom.predicate or atom.subject])
-            for atom in distinct_atoms(formula)}
+    fixed, varying = {}, {}
+    for atom in distinct_atoms(formula):
+        # ex(S) reads only S, so S stands in for the predicate it lacks.
+        shape, s, p = SHAPE[atom.functor], index[atom.subject], index[atom.predicate or atom.subject]
+        if s == p:
+            # Each zone is the letter or nothing, so one row set stands for its planes.
+            fixed[atom] = s, [holds(shape, full ^ shape.zone(has, has), has, has, single, full)
+                              for has, single in summaries[s]]
+            continue
+        zone, terms = 0, []
+        for (subject, bs), (predicate, bp) in zip(own[s], own[p]):
+            if bs == bp == digits:
+                zone |= shape.zone(subject[0], predicate[0])
+            else:
+                terms.append((bs, bp, [[shape.zone(x, y) for y in predicate] for x in subject]))
+        if terms:
+            varying[atom] = shape, s, p, zone, terms
+        else:
+            (has_s, single_s), (has_p, _) = summaries[s][0], summaries[p][0]
+            fixed[atom] = s, [holds(shape, full ^ zone, has_s, has_p, single_s, full)]
     for head in range(1 << digits - spanned):
-        planes = columns + tuple(full if head >> d & 1 else 0 for d in range(digits - spanned))
-        summaries = [fixed[j] or _oracle_letter(planes[(count - 1 - j) * universe:(count - j) * universe])
-                     for j in range(count)]
-        admissible = reduce(and_, (admitted(cls, has, single, full) for _, has, single in summaries), full)
-        values = {atom: fixed_atoms[key] if key in fixed_atoms
-                  else _oracle_atom(key[0], summaries[key[1]], summaries[key[2]], full)
-                  for atom, key in keys.items()}
+        picks = [min((head & mask).bit_count(), 2) for mask in masks]
+        admissible = reduce(and_, (allowed[j][picks[j]] for j in moving), settled)
+        values = {atom: by_pick[picks[s]] for atom, (s, by_pick) in fixed.items()}
+        for atom, (shape, s, p, zone, terms) in varying.items():
+            for bs, bp, term in terms:
+                zone |= term[head >> bs & 1][head >> bp & 1]
+            (has_s, single_s), (has_p, _) = summaries[s][picks[s]], summaries[p][picks[p]]
+            values[atom] = holds(shape, full ^ zone, has_s, has_p, single_s, full)
         failing = admissible & (full ^ truth(formula, values.__getitem__, full))
         if failing:
             first = (head << spanned) | ((failing & -failing).bit_length() - 1)
@@ -238,6 +249,7 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
                 letter: frozenset(x for e, x in enumerate(elements)
                                   if first >> (count - 1 - j) * universe + e & 1)
                 for j, letter in enumerate(vocab)})
-            assert in_class(model, cls, vocab) and not evaluate(model, formula)
+            if not (in_class(model, cls, vocab) and not evaluate(model, formula)):
+                raise RuntimeError(f"the oracle countermodel fails its re-check in {cls.value}")
             return Countermodel(model)
     return Valid()

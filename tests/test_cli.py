@@ -1,5 +1,7 @@
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +237,40 @@ def test_interrupt_is_not_an_internal_error(monkeypatch):
     monkeypatch.setattr(cli, "decide", interrupt)
     with pytest.raises(KeyboardInterrupt):
         run(["decide", "a(S,S)", "--class", "all"])
+
+
+_UNCHECKED_PROBE = """
+import importlib, io, contextlib, sys
+from namecalc.cli import run
+
+decide_module = importlib.import_module("namecalc.decide")
+print(sys.flags.optimize)
+
+
+def invoke(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    print(code, err.getvalue().strip())
+
+
+decide_module.evaluate = lambda model, formula: True  # every countermodel fails its re-check
+invoke("decide", "ex(M) & a(P,S) -> ex(S)", "--class", "all", "--oracle", "8")
+decide_module.in_class = lambda model, cls, vocab: False  # no labeling is realized
+invoke("decide", "i(S,S)", "--class", "all")
+"""
+
+
+def test_result_checks_survive_optimized_mode():
+    # Under -O, assert statements are dropped; the re-checks of the oracle's
+    # countermodel and of decide's realized labeling must still refuse.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = f"import sys; sys.path[:0] = [{str(src)!r}]\n" + _UNCHECKED_PROBE
+    result = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "1",
+        "2 internal error: RuntimeError: the oracle countermodel fails its re-check in all",
+        "2 internal error: RuntimeError: the first falsifying labeling is not realized in all",
+    ]

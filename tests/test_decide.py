@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import sys
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import example, given, settings
 
 from conftest import formulas_st
 from decide_reference import reference_decide
-from oracle_reference import reference_oracle
-from namecalc.core import Atom, Functor, Neg, letters
+from oracle_reference import reference_oracle, table_oracle
+from namecalc.core import Atom, Bin, Functor, Neg, letters
 from namecalc.corpus import corpus_entries
 from namecalc.decide import (
     Card,
@@ -354,3 +355,56 @@ def test_oracle_runs_without_numpy(monkeypatch):
     for universe in (0, 4, 8):
         verdict = oracle_decide(parse_formula("i(S,P) -> a(P,S)"), ModelClass.TRADITIONAL, universe)
         assert is_valid(verdict) == (universe < 2)
+
+
+def _assignment(model, universe):
+    """The index of a model's denotation assignment in the oracle's order."""
+    index = 0
+    for letter in sorted(model.denotation):
+        index = index << universe | sum(1 << int(x[1:]) for x in model.of(letter))
+    return index
+
+
+def _guarded(rng, pool):
+    """A random formula behind a premise that makes M nonempty or a singleton:
+    M sorts first, so its denotation is the assignment's top digits and the
+    first countermodel, if any, lies past the first table once those digits
+    are head digits."""
+    guard = Atom(Functor.EX, "M") if rng.random() < 0.7 else Atom(Functor.EPS, "M", "M")
+    return Bin("->", Bin("&", guard, _random_formula(rng, pool, 1)), _random_formula(rng, pool, 2))
+
+
+@pytest.mark.parametrize("table_rows, pools, universes", [
+    (decide_module.TABLE_ROWS, [("S", "P", "M")], (6, 7, 8)),
+    (1 << 7, [("S",), ("S", "P"), ("S", "P", "M")], range(5)),
+    (1 << 4, [("S",), ("S", "P"), ("S", "P", "M")], range(5)),
+])
+def test_oracle_matches_the_frozen_table_oracle(table_rows, pools, universes):
+    # Valid formulas run every table; guarded ones put the first countermodel
+    # past the first table.  At the two small sizes the head digits cross
+    # from the first letter into the others.
+    rng = random.Random(20261019 + table_rows)
+    corpus = [parse_formula(entry.formula) for entry in corpus_entries()]
+    seen = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide_module, "TABLE_ROWS", table_rows)
+        while seen["checked"] < 320:
+            pool = rng.choice(pools)
+            formula = rng.choices([
+                _random_formula(rng, pool, 3),
+                _guarded(rng, ("S", "P", "M")),
+                rng.choice([f for f in corpus if letters(f) <= set(pool)]),
+            ], weights=(1, 2, 1))[0]
+            if len(pools) == 1 and letters(formula) != set(pool):
+                continue
+            universe = rng.choice(universes)
+            for cls in ModelClass:
+                expected = table_oracle(formula, cls, universe)
+                assert _output(oracle_decide(formula, cls, universe)) == _output(expected), \
+                    (formula, cls, universe)
+                seen["checked"] += 1
+                if is_valid(expected):
+                    seen["valid"] += 1
+                elif _assignment(expected.model, universe) >= table_rows:
+                    seen["past the first table"] += 1
+    assert seen["valid"] >= 25 and seen["past the first table"] >= 25, seen
