@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Optional, Sequence, Union
 
-from .core import Atom, Formula, Functor, digit_columns, distinct_atoms, letters, truth
+from .core import Atom, Formula, Functor, atoms, digit_columns, distinct_atoms, letters, truth
 from .semantics import (
     _UNIVERSE_MINIMUM, SHAPE, Model, ModelClass, SINGLE, admitted, evaluate, holds, in_class, outside,
 )
@@ -162,8 +162,13 @@ def _zone(f: Functor, s: int, p: int, regions: int) -> tuple[int, ...]:
 # fix is worked out once per call, not once per table: a letter's row sets
 # take one of three forms, by how many of its head digits are set, and an
 # atom's zone is its part over the elements whose planes are both spanned,
-# ORed with one term per other element, precomputed for each value of that
-# element's head bits.
+# ORed with the terms of the other elements.  No two elements share a head
+# bit, so those terms split into two halves with disjoint head-bit masks.
+# Per call, each half maps head & mask to the OR of its terms, the low half's
+# ORed with the spanned part, so a table's zone is low[head & low_mask] |
+# high[head & high_mask]; an entry is built when a table first reads it.
+# Atom values sit in a list by distinct-atom position, and the fold's leaf
+# finds an occurrence's position by its id, so no table hashes an atom.
 
 ORACLE_MAX_LETTERS = 3
 ORACLE_MAX_UNIVERSE = 8
@@ -180,6 +185,24 @@ def _oracle_letter(planes: list[int], heads: int, full: int) -> list[tuple[int, 
     return [(has, has ^ two), (full, full ^ has), (full, 0)][:heads + 1]
 
 
+class _OracleHalf(dict):
+    """`base` ORed with some elements' zone terms, keyed by head & mask, the
+    value of those elements' head bits; a term is a table by the head bit of
+    the element in the subject, bs, and in the predicate, bp.  A key is built
+    when a table first reads it, so a call that stops early builds little."""
+
+    def __init__(self, terms: list[tuple[int, int, list[list[int]]]], head_bits: int, base: int) -> None:
+        self.terms, self.base = terms, base
+        self.mask = reduce(or_, (1 << bs | 1 << bp for bs, bp, _ in terms), 0) & head_bits
+
+    def __missing__(self, key: int) -> int:
+        zone = self.base
+        for bs, bp, term in self.terms:
+            zone |= term[key >> bs & 1][key >> bp & 1]
+        self[key] = zone
+        return zone
+
+
 def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdict:
     """Exhaustive check over every denotation assignment into a fixed universe
     of size max_universe; the first falsifying in-class assignment wins.
@@ -191,7 +214,7 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     if len(vocab) > ORACLE_MAX_LETTERS:
         raise CapExceeded(f"oracle is limited to {ORACLE_MAX_LETTERS} letters")
     if not 0 <= max_universe <= ORACLE_MAX_UNIVERSE:
-        raise CapExceeded(f"oracle universe is limited to {ORACLE_MAX_UNIVERSE}")
+        raise CapExceeded(f"oracle universe must be 0 to {ORACLE_MAX_UNIVERSE}, not {max_universe}")
     if max_universe < _UNIVERSE_MINIMUM[cls]:
         return Valid()
     universe, count = max_universe, len(vocab)
@@ -211,15 +234,25 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     # Letters without head digits pass the class filter on the same rows in every table.
     settled = reduce(and_, (rows[0] for rows, mask in zip(allowed, masks) if not mask), full)
     moving = [j for j, mask in enumerate(masks) if mask]
+    head_bits = (1 << digits - spanned) - 1
     index = {v: j for j, v in enumerate(vocab)}
-    fixed, varying = {}, {}
-    for atom in distinct_atoms(formula):
+    # Each occurrence's position among the distinct atoms, by its id.
+    position, slot = {}, {}
+    for occurrence in atoms(formula):
+        slot[id(occurrence)] = position.setdefault(occurrence, len(position))
+    values = [0] * len(position)
+
+    def leaf(atom: Atom) -> int:
+        return values[slot[id(atom)]]
+
+    fixed, varying = [], []
+    for atom, k in position.items():
         # ex(S) reads only S, so S stands in for the predicate it lacks.
         shape, s, p = SHAPE[atom.functor], index[atom.subject], index[atom.predicate or atom.subject]
         if s == p:
             # Each zone is the letter or nothing, so one row set stands for its planes.
-            fixed[atom] = s, [holds(shape, full ^ shape.zone(has, has), has, has, single, full)
-                              for has, single in summaries[s]]
+            fixed.append((k, s, [holds(shape, full ^ shape.zone(has, has), has, has, single, full)
+                                 for has, single in summaries[s]]))
             continue
         zone, terms = 0, []
         for (subject, bs), (predicate, bp) in zip(own[s], own[p]):
@@ -228,20 +261,22 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
             else:
                 terms.append((bs, bp, [[shape.zone(x, y) for y in predicate] for x in subject]))
         if terms:
-            varying[atom] = shape, s, p, zone, terms
+            half = len(terms) // 2
+            low, high = _OracleHalf(terms[:half], head_bits, zone), _OracleHalf(terms[half:], head_bits, 0)
+            varying.append((k, shape, s, p, low.mask, low, high.mask, high))
         else:
             (has_s, single_s), (has_p, _) = summaries[s][0], summaries[p][0]
-            fixed[atom] = s, [holds(shape, full ^ zone, has_s, has_p, single_s, full)]
-    for head in range(1 << digits - spanned):
+            fixed.append((k, s, [holds(shape, full ^ zone, has_s, has_p, single_s, full)]))
+    for head in range(head_bits + 1):
         picks = [min((head & mask).bit_count(), 2) for mask in masks]
         admissible = reduce(and_, (allowed[j][picks[j]] for j in moving), settled)
-        values = {atom: by_pick[picks[s]] for atom, (s, by_pick) in fixed.items()}
-        for atom, (shape, s, p, zone, terms) in varying.items():
-            for bs, bp, term in terms:
-                zone |= term[head >> bs & 1][head >> bp & 1]
+        for k, s, by_pick in fixed:
+            values[k] = by_pick[picks[s]]
+        for k, shape, s, p, low_mask, low, high_mask, high in varying:
+            zone = low[head & low_mask] | high[head & high_mask]
             (has_s, single_s), (has_p, _) = summaries[s][picks[s]], summaries[p][picks[p]]
-            values[atom] = holds(shape, full ^ zone, has_s, has_p, single_s, full)
-        failing = admissible & (full ^ truth(formula, values.__getitem__, full))
+            values[k] = holds(shape, full ^ zone, has_s, has_p, single_s, full)
+        failing = admissible & (full ^ truth(formula, leaf, full))
         if failing:
             first = (head << spanned) | ((failing & -failing).bit_length() - 1)
             elements = [f"u{e}" for e in range(universe)]

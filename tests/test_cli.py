@@ -47,6 +47,12 @@ def test_decide_oracle_flag(capsys):
     assert code == 0 and out.strip() == "VALID"
 
 
+@pytest.mark.parametrize("universe", ["-1", "9"])
+def test_oracle_universe_out_of_range_exits_2(capsys, universe):
+    code, out, err = invoke(capsys, "decide", "a(S,P)", "--class", "all", "--oracle", universe)
+    assert (code, out, err) == (2, "", f"guard: oracle universe must be 0 to 8, not {universe}\n")
+
+
 @pytest.mark.parametrize(
     "formula", ["~" * 3000 + "a(S,S)", "(" * 2000 + "a(S,S)" + ")" * 2000]
 )

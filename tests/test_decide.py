@@ -1,7 +1,9 @@
+import gc
 import importlib
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from conftest import formulas_st
 from decide_reference import reference_decide
 from oracle_reference import reference_oracle, table_oracle
-from namecalc.core import Atom, Bin, Functor, Neg, letters
+from namecalc.core import Atom, Bin, Functor, Neg, conj, digit_columns, letters
 from namecalc.corpus import corpus_entries
 from namecalc.decide import (
     Card,
@@ -313,11 +315,20 @@ def _reference_oracle_output(formula, cls, universe):
     return "VALID" if model is None else format_model(model)
 
 
+_SHARED = Atom(Functor.I, "M", "S")
+
+
 @pytest.mark.parametrize("table_rows", TABLE_SIZES)
 @settings(max_examples=100, deadline=None)
 @given(formula=st.sampled_from([("S",), ("S", "P"), ("S", "P", "M")]).flatmap(
     lambda pool: formulas_st(pool, max_depth=4)), universe=st.integers(0, 4))
 @example(formula=parse_formula("a(S,P) & a(P,M) -> a(S,M)"), universe=4)  # every table, to the end
+# A repeated atom, once as one object at two leaves and once as equal but
+# distinct objects: both occurrences must read the same value.
+@example(formula=Bin("->", conj(_SHARED, Atom(Functor.A, "M", "P")), conj(_SHARED, Atom(Functor.I, "S", "P"))),
+         universe=4)
+@example(formula=Bin("->", conj(Atom(Functor.I, "M", "S"), Atom(Functor.A, "M", "P")),
+                     conj(Atom(Functor.I, "M", "S"), Atom(Functor.I, "S", "P"))), universe=4)
 def test_oracle_matches_the_reference_enumeration(table_rows, formula, universe):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decide_module, "TABLE_ROWS", table_rows)
@@ -355,6 +366,29 @@ def test_oracle_runs_without_numpy(monkeypatch):
     for universe in (0, 4, 8):
         verdict = oracle_decide(parse_formula("i(S,P) -> a(P,S)"), ModelClass.TRADITIONAL, universe)
         assert is_valid(verdict) == (universe < 2)
+
+
+def test_oracle_keeps_nothing_between_calls():
+    def cached():
+        return [(f.cache_info().misses, f.cache_info().currsize) for f in (decide_module._zone, digit_columns)]
+
+    # The warm call builds what every 3-letter call at 8 elements shares; its
+    # atoms each read one letter, so no atom's element terms are built yet.
+    assert is_valid(oracle_decide(parse_formula("a(S,S) & a(P,P) -> a(M,M)"), ModelClass.ALL, 8))
+    chain = parse_formula("a(S,P) & a(P,M) -> a(S,M)")
+    before = cached()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert is_valid(oracle_decide(chain, ModelClass.ALL, 8))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert cached() == before
+    # One table row set is 8 KiB, and the chain's half tables hold 64 of them.
+    assert retained < 16 * 1024, retained
 
 
 def _assignment(model, universe):
