@@ -64,7 +64,9 @@ class CheckReport:
     accepted: bool
     failure_line: Optional[int] = None
     reason: Optional[str] = None
-    expansions: tuple = ()  # (line, steps) per derived-rule line of a sequent proof
+    # (line, steps) per derived-rule line of a sequent proof; the steps are
+    # sequent lines numbered after the cited ones, re-checked by check_lines.
+    expansions: tuple = ()
 
     @staticmethod
     def failure(line: int, reason: str) -> "CheckReport":
@@ -80,14 +82,17 @@ class _Proved(dict):
         raise _Missing
 
 
-def check_lines(lines: Iterable, claim_of: Callable, rules: dict, admit: Callable = lambda claim: None) -> CheckReport:
-    """The line loop of the three kernels.  Line numbers must increase, admit
-    may refuse a claim outright, and the justification's class picks a
-    (noun, check) from rules.  check(j, claim, proved) returns a reason to
-    reject the line, None to accept it, or a tuple to accept it and record
-    (line, tuple) in the expansions.  Citing a line that is not proved rejects
-    with "{noun} cites a missing line", a tripped guard with its message."""
-    proved, expansions, previous = _Proved(), [], 0
+def check_lines(lines: Iterable, claim_of: Callable, rules: dict, admit: Callable = lambda claim: None,
+                given: tuple = ()) -> CheckReport:
+    """The line loop of the three kernels and of derived-rule expansions.
+    The given claims count as proved lines 1..k before the first line.  Line
+    numbers must increase, admit may refuse a claim outright, and the
+    justification's class picks a (noun, check) from rules.  check(j, claim,
+    proved) returns a reason to reject the line, None to accept it, or a tuple
+    to accept it and record (line, tuple) in the expansions.  Citing a line
+    that is not proved rejects with "{noun} cites a missing line", a tripped
+    guard with its message."""
+    proved, expansions, previous = _Proved(enumerate(given, 1)), [], len(given)
     for line in lines:
         if line.index <= previous:
             return CheckReport.failure(line.index, "line numbers must increase")

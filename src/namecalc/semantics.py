@@ -153,5 +153,6 @@ def random_model(seed: int, vocab: Iterable[str], cls: ModelClass, max_universe:
             picked = rng.sample(universe, count)
         denotation[letter] = frozenset(picked)
     model = Model(frozenset(universe), denotation)
-    assert in_class(model, cls, vocab)
+    if not in_class(model, cls, vocab):
+        raise RuntimeError(f"the random model is not in {cls.value}")
     return model

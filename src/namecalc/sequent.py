@@ -4,9 +4,10 @@ The sequent kernel has axiomatic sequents (the instances of the traditional
 axiom set, with each definition split into two one-premise sequents),
 CPL-consequence axioms, binary cut, and the deduction rule.  Everything else
 ships as a derived-rule macro, and no macro is trusted: a rule only proposes
-plans of primitive cpl/cut/ded steps, one replay loop builds the steps of
-the first plan that reaches the stated sequent, and `check_expansion`
-re-checks those steps with the primitive checkers on every use.
+plans of primitive cpl/cut/ded steps, and one replay loop turns the first plan
+that reaches the stated sequent into sequent lines numbered after the cited
+lines.  `check_expansion` re-checks those lines on every use with the same
+line loop and rule table as a script's own lines.
 
 The deduction kernel works over a/i/e/o atoms with four inference rules,
 trivial deductions, rule cuts, and reductio; premise sets must be nonempty
@@ -17,7 +18,6 @@ Both kernels are tables of rule checks walked by ``proof.check_lines``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -33,7 +33,7 @@ from .core import (
     substitute,
 )
 from .parser import format_formula
-from .proof import CheckReport, GuardExceeded, check_lines, is_cpl_tautology
+from .proof import CheckReport, check_lines, is_cpl_tautology
 from .proofscript import (
     CplConsequenceAxiom,
     Cut,
@@ -45,6 +45,7 @@ from .proofscript import (
     LukAxiomSequent,
     Reductio,
     Sequent,
+    SequentLine,
     SequentScript,
     Trivial,
 )
@@ -109,7 +110,11 @@ def _apply_subst(sequent: Sequent, subst: dict[str, str]) -> Sequent:
 
 
 def _match_axiom_sequent(pattern: Sequent, stated: Sequent) -> Optional[dict[str, str]]:
-    """Find a substitution sending the pattern sequent onto the stated one."""
+    """Find a substitution sending the pattern sequent onto the stated one.
+    A substitution never enlarges a premise set, so a stated sequent with more
+    premises than the pattern is refused before any matching."""
+    if len(stated.premises) > len(pattern.premises):
+        return None
     pattern_premises = sorted(pattern.premises, key=format_formula)
     for assignment in itertools.product(stated.premises, repeat=len(pattern_premises)):
         pairs = [(pattern.conclusion, stated.conclusion), *zip(pattern_premises, assignment)]
@@ -143,22 +148,16 @@ def deduction_matches(source: Sequent, stated: Sequent) -> bool:
 # A plan is a list of ("cpl", premises, conclusion), ("cut", i, j) and
 # ("ded", i, moved) steps, citing the context (the cited lines, then the
 # steps) by absolute or negative index; STOP ends the plan early if the last
-# sequent is already the stated one.
-
-@dataclass(frozen=True)
-class ExpStep:
-    sequent: Sequent
-    kind: str  # "cpl" | "cut" | "ded"
-    cites: tuple[int, ...] = ()
-
+# sequent is already the stated one.  The expansion numbers the cited lines
+# 1..k and the steps after them, so context index c is line c + 1.
 
 STOP = "stop"
 Plan = list
 Rule = Callable[[list[Sequent], Sequent], Iterator[Plan]]
 
 
-def _replay(cited: list[Sequent], plan: Plan, stated: Sequent) -> Optional[list[ExpStep]]:
-    """The expansion steps of a plan, or None if a cut fails or it does not
+def _replay(cited: list[Sequent], plan: Plan, stated: Sequent) -> Optional[list[SequentLine]]:
+    """The expansion lines of a plan, or None if a cut fails or it does not
     end at the stated sequent."""
     context, steps = list(cited), []
     for step in plan:
@@ -168,17 +167,17 @@ def _replay(cited: list[Sequent], plan: Plan, stated: Sequent) -> Optional[list[
             continue
         kind, first, second = step
         if kind == "cpl":
-            sequent, cites = Sequent(frozenset(first), second), ()
+            sequent, j = Sequent(frozenset(first), second), CplConsequenceAxiom()
         elif kind == "cut":
             sequent = cut_sequents(context[first], context[second])
-            cites = (first % len(context), second % len(context))
+            j = Cut(first % len(context) + 1, second % len(context) + 1)
         else:
-            source, cites = context[first], (first % len(context),)
+            source, j = context[first], Deduction(first % len(context) + 1)
             sequent = Sequent(source.premises - {second}, imp(second, source.conclusion))
         if sequent is None:
             return None
-        steps.append(ExpStep(sequent, kind, cites))
         context.append(sequent)
+        steps.append(SequentLine(len(context), sequent, j))
     return steps if context[-1] == stated else None
 
 
@@ -322,7 +321,7 @@ DERIVED_RULES: dict[str, tuple[int, Rule]] = {
 }
 
 
-def expand(rule: str, cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def expand(rule: str, cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     """The expansion of the first plan of the rule that replays to the stated
     sequent, or None if none does."""
     for plan in DERIVED_RULES[rule][1](cited, stated):
@@ -332,27 +331,12 @@ def expand(rule: str, cited: list[Sequent], stated: Sequent) -> Optional[list[Ex
     return None
 
 
-def check_expansion(cited: list[Sequent], steps: list[ExpStep], stated: Sequent) -> Optional[str]:
-    """Re-verify an expansion with the primitive checkers only."""
-    context = list(cited)
-    for step in steps:
-        if step.kind == "cpl":
-            try:
-                if not cpl_consequence(step.sequent.premises, step.sequent.conclusion):
-                    return "expansion step is not a propositional consequence"
-            except GuardExceeded as err:
-                return str(err)
-        elif step.kind == "cut":
-            left, right = step.cites
-            if cut_sequents(context[left], context[right]) != step.sequent:
-                return "expansion cut does not produce the recorded sequent"
-        elif step.kind == "ded":
-            if not deduction_matches(context[step.cites[0]], step.sequent):
-                return "expansion deduction step does not match"
-        else:  # pragma: no cover
-            return f"unknown expansion step {step.kind}"
-        context.append(step.sequent)
-    if context[-1] != stated:
+def check_expansion(cited: list[Sequent], steps: list[SequentLine], stated: Sequent) -> Optional[str]:
+    """Re-check an expansion as sequent lines after the cited lines 1..k."""
+    report = check_lines(steps, attrgetter("sequent"), _SEQUENT_RULES, given=tuple(cited))
+    if not report.accepted:
+        return report.reason
+    if steps[-1].sequent != stated:
         return "expansion does not end at the stated sequent"
     return None
 
@@ -388,7 +372,7 @@ def _deduction(j: Deduction, sequent: Sequent, proved) -> Optional[str]:
     return None if deduction_matches(proved[j.source], sequent) else "deduction result differs"
 
 
-def _derived(j: DerivedRule, sequent: Sequent, proved) -> Union[str, tuple[ExpStep, ...]]:
+def _derived(j: DerivedRule, sequent: Sequent, proved) -> Union[str, tuple[SequentLine, ...]]:
     """A derived-rule line is accepted with its re-checked expansion."""
     entry = DERIVED_RULES.get(j.rule)
     if entry is None:

@@ -1,8 +1,10 @@
 """The hand-written derived-rule expanders that ``sequent``'s step plans
 replaced, kept as the reference ``expand`` and ``check_sequent_proof`` are
 compared against: one expander per rule, each building its expansion step by
-step on an ``_Expansion`` and comparing with the stated sequent itself, and
-the proof loop that calls them.  The step record, cut, the expansion re-check
+step on an ``_Expansion`` and comparing with the stated sequent itself, the
+per-kind loop that re-checked expansions before they went through the
+kernel's line loop, and the proof loop that calls them.  Expansion steps are
+``SequentLine``s numbered after the cited lines, as in the live kernel.  Cut
 and CPL consequence come from ``namecalc.sequent``, and the report from
 ``namecalc.proof``, so that reports from both compare equal."""
 
@@ -20,15 +22,14 @@ from namecalc.proofscript import (
     DerivedRule,
     LukAxiomSequent,
     Sequent,
+    SequentLine,
     SequentScript,
 )
 from namecalc.sequent import (
     AXIOM_SEQUENTS,
-    ExpStep,
     _apply_subst,
     _flatten_conj,
     _match_axiom_sequent,
-    check_expansion,
     cpl_consequence,
     cut_sequents,
     deduction_matches,
@@ -37,42 +38,45 @@ from namecalc.sequent import (
 
 @dataclass
 class _Expansion:
+    """The cited lines are lines 1..k of the context and each step the next
+    line; the builders take and return context indices, the recorded steps
+    cite line numbers (context index + 1)."""
+
     context: list[Sequent]
-    steps: list[ExpStep] = field(default_factory=list)
+    steps: list[SequentLine] = field(default_factory=list)
+
+    def _record(self, sequent: Sequent, justification) -> int:
+        self.context.append(sequent)
+        self.steps.append(SequentLine(len(self.context), sequent, justification))
+        return len(self.context) - 1
 
     def cpl(self, premises: Iterable[Formula], conclusion: Formula) -> int:
-        self.steps.append(ExpStep(Sequent(frozenset(premises), conclusion), "cpl"))
-        self.context.append(self.steps[-1].sequent)
-        return len(self.context) - 1
+        return self._record(Sequent(frozenset(premises), conclusion), CplConsequenceAxiom())
 
     def cut(self, left: int, right: int) -> Optional[int]:
         result = cut_sequents(self.context[left], self.context[right])
         if result is None:
             return None
-        self.steps.append(ExpStep(result, "cut", (left, right)))
-        self.context.append(result)
-        return len(self.context) - 1
+        return self._record(result, Cut(left + 1, right + 1))
 
     def ded(self, source: int, moved: Formula) -> int:
         src = self.context[source]
         result = Sequent(src.premises - {moved}, imp(moved, src.conclusion))
-        self.steps.append(ExpStep(result, "ded", (source,)))
-        self.context.append(result)
-        return len(self.context) - 1
+        return self._record(result, Deduction(source + 1))
 
     @property
     def last(self) -> Sequent:
         return self.context[-1]
 
 
-Expander = Callable[[list[Sequent], Sequent], Optional[list[ExpStep]]]
+Expander = Callable[[list[Sequent], Sequent], Optional[list[SequentLine]]]
 
 
 def _sorted_candidates(premises: Iterable[Formula]) -> list[Formula]:
     return sorted(premises, key=format_formula)
 
 
-def _expand_and_intro_left(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_and_intro_left(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     (src,) = cited
     for candidate in _sorted_candidates(stated.premises):
         if not (isinstance(candidate, Bin) and candidate.op == "&"):
@@ -94,7 +98,7 @@ def _expand_and_intro_left(cited: list[Sequent], stated: Sequent) -> Optional[li
     return None
 
 
-def _expand_and_intro_right(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_and_intro_right(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     (src,) = cited
     for candidate in _sorted_candidates(src.premises):
         if not (isinstance(candidate, Bin) and candidate.op == "&"):
@@ -108,7 +112,7 @@ def _expand_and_intro_right(cited: list[Sequent], stated: Sequent) -> Optional[l
     return None
 
 
-def _expand_and_combine(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_and_combine(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     left, right = cited
     alpha, beta = left.conclusion, right.conclusion
     exp = _Expansion([left, right])
@@ -121,7 +125,7 @@ def _expand_and_combine(cited: list[Sequent], stated: Sequent) -> Optional[list[
     return exp.steps if exp.last == stated else None
 
 
-def _expand_imp_unpack(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_imp_unpack(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     (src,) = cited
     if not (isinstance(src.conclusion, Bin) and src.conclusion.op == "->"):
         return None
@@ -133,7 +137,7 @@ def _expand_imp_unpack(cited: list[Sequent], stated: Sequent) -> Optional[list[E
     return exp.steps if exp.last == stated else None
 
 
-def _expand_imp_apply(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_imp_apply(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     left, right = cited
     if not (isinstance(left.conclusion, Bin) and left.conclusion.op == "->"):
         return None
@@ -149,7 +153,7 @@ def _expand_imp_apply(cited: list[Sequent], stated: Sequent) -> Optional[list[Ex
     return exp.steps if exp.last == stated else None
 
 
-def _expand_biconditional_split(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_biconditional_split(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     (src,) = cited
     if not (isinstance(src.conclusion, Bin) and src.conclusion.op == "<->"):
         return None
@@ -164,7 +168,7 @@ def _expand_biconditional_split(cited: list[Sequent], stated: Sequent) -> Option
     return None
 
 
-def _expand_biconditional_join(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_biconditional_join(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     left, right = cited
     for node in (left.conclusion, right.conclusion):
         if not (isinstance(node, Bin) and node.op == "->"):
@@ -187,7 +191,7 @@ def _make_contraposition(wrap_alpha: bool, wrap_beta: bool) -> Expander:
     matching negation pattern.  wrap_alpha: the moved premise appears negated
     in the source; wrap_beta: the source conclusion appears negated."""
 
-    def expand(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+    def expand(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
         (src,) = cited
         beta = src.conclusion
         if wrap_beta:
@@ -214,7 +218,7 @@ def _make_contraposition(wrap_alpha: bool, wrap_beta: bool) -> Expander:
 
 
 def _expand_disjunction_side(index: int) -> Expander:
-    def expand(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+    def expand(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
         (src,) = cited
         for candidate in _sorted_candidates(src.premises):
             if not (isinstance(candidate, Bin) and candidate.op == "|"):
@@ -231,7 +235,7 @@ def _expand_disjunction_side(index: int) -> Expander:
     return expand
 
 
-def _expand_disjunction_join(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_disjunction_join(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     left, right = cited
     if left.conclusion != right.conclusion:
         return None
@@ -258,7 +262,7 @@ def _expand_disjunction_join(cited: list[Sequent], stated: Sequent) -> Optional[
     return None
 
 
-def _expand_bridge_to_implication(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_bridge_to_implication(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     (src,) = cited
     if stated.premises or not (isinstance(stated.conclusion, Bin) and stated.conclusion.op == "->"):
         return None
@@ -278,7 +282,7 @@ def _expand_bridge_to_implication(cited: list[Sequent], stated: Sequent) -> Opti
     return exp.steps if exp.last == stated else None
 
 
-def _expand_bridge_to_sequent(cited: list[Sequent], stated: Sequent) -> Optional[list[ExpStep]]:
+def _expand_bridge_to_sequent(cited: list[Sequent], stated: Sequent) -> Optional[list[SequentLine]]:
     (src,) = cited
     if src.premises or not (isinstance(src.conclusion, Bin) and src.conclusion.op == "->"):
         return None
@@ -316,9 +320,48 @@ DERIVED_RULES: dict[str, tuple[int, Expander]] = {
 }
 
 
+def check_expansion(cited: list[Sequent], steps: list[SequentLine], stated: Sequent) -> Optional[str]:
+    """The per-kind re-check loop the kernel's line loop replaced, frozen: the
+    cited lines are lines 1..k, each step is checked by the class of its
+    justification with the primitive rows' reasons, and the last sequent must
+    be the stated one."""
+    proved = dict(enumerate(cited, 1))
+    previous = len(cited)
+    for step in steps:
+        if step.index <= previous:
+            return "line numbers must increase"
+        previous = step.index
+        j = step.justification
+        if isinstance(j, CplConsequenceAxiom):
+            try:
+                if not cpl_consequence(step.sequent.premises, step.sequent.conclusion):
+                    return "not a propositional consequence"
+            except GuardExceeded as err:
+                return str(err)
+        elif isinstance(j, Cut):
+            if j.left not in proved or j.right not in proved:
+                return "cut cites a missing line"
+            result = cut_sequents(proved[j.left], proved[j.right])
+            if result is None:
+                return "cut formula does not occur in the second premise set"
+            if result != step.sequent:
+                return "cut result differs"
+        elif isinstance(j, Deduction):
+            if j.source not in proved:
+                return "deduction cites a missing line"
+            if not deduction_matches(proved[j.source], step.sequent):
+                return "deduction result differs"
+        else:  # pragma: no cover
+            return f"unknown expansion step {j!r}"
+        proved[step.index] = step.sequent
+    if [*cited, *(step.sequent for step in steps)][-1] != stated:
+        return "expansion does not end at the stated sequent"
+    return None
+
+
 def check_sequent_proof(script: SequentScript) -> SequentCheckReport:
     proved: dict[int, Sequent] = {}
-    expansions: list[tuple[int, tuple[ExpStep, ...]]] = []
+    expansions: list[tuple[int, tuple[SequentLine, ...]]] = []
     previous = 0
     for line in script.lines:
         if line.index <= previous:

@@ -1,5 +1,6 @@
 import pytest
 
+import namecalc.sequent as sequent_module
 from namecalc.core import Atom, Functor
 from namecalc.corpus import DATA_DIR
 from namecalc.decide import Valid, decide
@@ -9,6 +10,7 @@ from namecalc.parser import (
     parse_sequent_script,
 )
 from namecalc.proof import check_proof
+from namecalc.proofscript import CplConsequenceAxiom, Cut, Deduction
 from namecalc.semantics import ModelClass
 from namecalc.sequent import (
     DERIVED_RULES,
@@ -49,6 +51,19 @@ def test_cut_needs_the_cut_formula_in_the_second_premise_set():
     assert report.failure_line in (2, 3)
 
 
+def test_axiom_sequent_with_more_premises_than_the_pattern_is_refused_unmatched(monkeypatch):
+    calls = []
+    match_atoms = sequent_module.match_atoms
+    monkeypatch.setattr(sequent_module, "match_atoms", lambda pairs: calls.append(pairs) or match_atoms(pairs))
+    wide = ", ".join(f"a(S{k},P)" for k in range(400))
+    report = check_sequent_proof(parse_sequent_script(f"1: {wide} ==> a(S,P) ; luk Barbara"))
+    assert (report.accepted, report.reason) == (False, "not an instance of the Barbara sequent")
+    assert calls == []
+    # A substitution may collapse the two premises of Barbara into one.
+    assert check_sequent_proof(parse_sequent_script("1: a(S,S) ==> a(S,S) ; luk Barbara")).accepted
+    assert calls
+
+
 def test_deduction_rule_moves_one_premise():
     script = parse_sequent_script(
         """
@@ -77,7 +92,7 @@ def test_every_derived_rule_macro_is_exercised_and_rechecked():
         line = by_index[index]
         cited = [proved[c] for c in line.justification.cites]
         assert check_expansion(cited, list(steps), line.sequent) is None
-        assert all(step.kind in ("cpl", "cut", "ded") for step in steps)
+        assert all(isinstance(step.justification, (CplConsequenceAxiom, Cut, Deduction)) for step in steps)
 
 
 def test_macro_with_wrong_result_is_rejected():

@@ -15,11 +15,10 @@ from namecalc.corpus import DATA_DIR
 from namecalc.decide import Valid, decide
 from namecalc.parser import format_formula, parse_formula, parse_sequent_script
 from namecalc.proof import CheckReport
-from namecalc.proofscript import Cut, Deduction, DerivedRule, Sequent, SequentScript
+from namecalc.proofscript import CplConsequenceAxiom, Cut, Deduction, DerivedRule, Sequent, SequentScript
 from namecalc.semantics import ModelClass
 from namecalc.sequent import (
     DERIVED_RULES,
-    ExpStep,
     check_expansion,
     check_sequent_proof,
     expand,
@@ -276,50 +275,74 @@ def test_misapplied_rule_does_not_apply(rule):
     assert report == CheckReport.failure(misapplied.lines[-1].index, f"{rule} does not apply")
 
 
-# Tampered expansions: every reason of check_expansion.
+# Tampered expansions: every reason of check_expansion, live and reference.
 
-def _recorded(kind: str):
-    """From derived-rules.seq, a recorded expansion with a step of the kind:
-    the cited lines, the steps, the stated sequent and the step's position."""
+def _recorded(kind: type):
+    """From derived-rules.seq, a recorded expansion with a step justified by
+    the kind: the cited lines, the steps, the stated sequent and the step's
+    position."""
     showcase = SEQ_SCRIPTS["derived-rules.seq"]
     proved = {line.index: line for line in showcase.lines}
     for index, steps in check_sequent_proof(showcase).expansions:
         for k, step in enumerate(steps):
-            if step.kind == kind:
+            if isinstance(step.justification, kind):
                 line = proved[index]
                 cited = [proved[c].sequent for c in line.justification.cites]
                 return cited, list(steps), line.sequent, k
     raise AssertionError(kind)
 
 
-def _tampered(kind: str, sequent: Sequent):
+def _rechecked(cited, steps, stated):
+    """check_expansion's reason, which the reference's frozen loop must share."""
+    reason = check_expansion(cited, steps, stated)
+    assert reason == reference.check_expansion(cited, steps, stated)
+    return reason
+
+
+def _tampered(kind: type, **changes):
     cited, steps, stated, k = _recorded(kind)
-    assert check_expansion(cited, steps, stated) is None
-    steps[k] = ExpStep(sequent, kind, steps[k].cites)
-    return check_expansion(cited, steps, stated)
+    assert _rechecked(cited, steps, stated) is None
+    steps[k] = replace(steps[k], **changes)
+    return _rechecked(cited, steps, stated)
 
 
 ELSEWHERE = Sequent(frozenset([parse_formula("a(S,P)")]), parse_formula("e(S,P)"))
 
 
 def test_tampered_cpl_step():
-    assert _tampered("cpl", ELSEWHERE) == "expansion step is not a propositional consequence"
+    assert _tampered(CplConsequenceAxiom, sequent=ELSEWHERE) == "not a propositional consequence"
 
 
 def test_tampered_cut_step():
-    assert _tampered("cut", ELSEWHERE) == "expansion cut does not produce the recorded sequent"
+    assert _tampered(Cut, sequent=ELSEWHERE) == "cut result differs"
 
 
 def test_tampered_ded_step():
-    assert _tampered("ded", ELSEWHERE) == "expansion deduction step does not match"
+    assert _tampered(Deduction, sequent=ELSEWHERE) == "deduction result differs"
 
 
 def test_expansion_ending_elsewhere():
-    cited, steps, _, _ = _recorded("cut")
-    assert check_expansion(cited, steps, ELSEWHERE) == "expansion does not end at the stated sequent"
+    cited, steps, _, _ = _recorded(Cut)
+    assert _rechecked(cited, steps, ELSEWHERE) == "expansion does not end at the stated sequent"
+
+
+def test_expansion_steps_are_numbered_after_the_cited_lines():
+    cited, steps, _, _ = _recorded(Cut)
+    assert [step.index for step in steps] == list(range(len(cited) + 1, len(cited) + len(steps) + 1))
+
+
+def test_expansion_cut_citing_a_missing_line():
+    cited, steps, _, _ = _recorded(Cut)
+    missing = len(cited) + len(steps) + 1
+    assert _tampered(Cut, justification=Cut(missing, 1)) == "cut cites a missing line"
+
+
+def test_expansion_step_numbered_among_the_cited_lines():
+    cited, _, _, _ = _recorded(CplConsequenceAxiom)
+    assert _tampered(CplConsequenceAxiom, index=len(cited)) == "line numbers must increase"
 
 
 def test_cpl_step_over_the_truth_table_guard():
     atoms = [Atom(f, s, p) for f in (Functor.A, Functor.I, Functor.E) for s in "SPM" for p in "SPM"]
     wide = Sequent(frozenset(atoms[:21]), conj(*atoms[:21]))
-    assert _tampered("cpl", wide) == "21 distinct atoms exceed the truth-table guard"
+    assert _tampered(CplConsequenceAxiom, sequent=wide) == "21 distinct atoms exceed the truth-table guard"
