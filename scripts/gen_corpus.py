@@ -20,11 +20,14 @@ from namecalc.core import Formula, conj, disj, imp, letters, neg, substitute
 from namecalc.decide import Valid, decide, oracle_decide
 from namecalc.parser import (
     format_formula,
+    format_proof_script,
     parse_deduction_script,
     parse_proof_script,
     parse_sequent_script,
 )
 from namecalc.proof import check_proof, is_cpl_tautology
+from namecalc.proofscript import AxiomInstance, CplTautology, DefInstance, Detach, ProofLine, ProofScript
+from namecalc.proofscript import ProofJustification, Substitute
 from namecalc.semantics import ModelClass
 from namecalc.sequent import check_sequent_proof, check_smiley_deduction
 from namecalc.systems import SCHEMAS, a, e, eps, ex, i, ka, ke, kke, o, system
@@ -42,51 +45,43 @@ class Script:
         self.system_id = system_id
         self.substitution_rule = substitution_rule
         self.header = header or []
-        self.rows: list[str] = []
-        self.formulas: dict[int, Formula] = {}
-        self.counter = 0
+        self.lines: list[ProofLine] = []
 
-    def emit(self, formula: Formula, just: str) -> int:
-        self.counter += 1
-        self.formulas[self.counter] = formula
-        self.rows.append(f"{self.counter}: {format_formula(formula)} ; {just}")
-        return self.counter
+    def emit(self, formula: Formula, justification: ProofJustification) -> int:
+        self.lines.append(ProofLine(len(self.lines) + 1, formula, justification))
+        return len(self.lines)
 
-    def _instance(self, tag: str, name: str, kw: dict[str, str]) -> int:
+    def formula(self, index: int) -> Formula:
+        return self.lines[index - 1].formula
+
+    def _instance(self, kind: type, name: str, kw: dict[str, str]) -> int:
         pattern = SCHEMAS[name].pattern
-        subst = dict(kw)
-        instance = substitute(pattern, subst)
-        moved = {k: v for k, v in sorted(subst.items()) if k != v and k in letters(pattern)}
-        if moved:
-            pairs = ",".join(f"{k}:={v}" for k, v in moved.items())
-            return self.emit(instance, f"{tag} {name} [{pairs}]")
-        return self.emit(instance, f"{tag} {name}")
+        moved = tuple((k, v) for k, v in sorted(kw.items()) if k != v and k in letters(pattern))
+        return self.emit(substitute(pattern, kw), kind(name, moved or None))
 
     def ax(self, name: str, **kw: str) -> int:
-        return self._instance("ax", name, kw)
+        return self._instance(AxiomInstance, name, kw)
 
     def df(self, name: str, **kw: str) -> int:
-        return self._instance("def", name, kw)
+        return self._instance(DefInstance, name, kw)
 
     def sub(self, source: int, **kw: str) -> int:
-        pairs = ",".join(f"{k}:={v}" for k, v in sorted(kw.items()))
-        return self.emit(substitute(self.formulas[source], kw), f"sub {source} [{pairs}]")
+        return self.emit(substitute(self.formula(source), kw), Substitute(source, tuple(sorted(kw.items()))))
 
     def prop(self, goal: Formula, facts: list[int]) -> int:
         curried = goal
         for fact in reversed(facts):
-            curried = imp(self.formulas[fact], curried)
+            curried = imp(self.formula(fact), curried)
         assert is_cpl_tautology(curried), f"non-tautological step toward {format_formula(goal)}"
-        line = self.emit(curried, "cpl")
+        line = self.emit(curried, CplTautology())
         for fact in facts:
-            rest = self.formulas[line].right
-            line = self.emit(rest, f"mp {fact} {line}")
-        assert self.formulas[line] == goal
+            line = self.emit(self.formula(line).right, Detach(fact, line))
+        assert self.formula(line) == goal
         return line
 
     def text(self) -> str:
         head = "".join(f"# {row}\n" for row in self.header)
-        return head + "\n".join(self.rows) + "\n"
+        return head + format_proof_script(ProofScript(tuple(self.lines)))
 
 
 def finish(script: Script, path: str, expect: Formula) -> str:

@@ -148,9 +148,8 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_represent(args) -> int:
     structure = parse_structure(Path(args.structure).read_text())
-    kind = {"b1": "B1", "b3": "B3", "c": "C"}[args.kind]
     try:
-        e_map, report = represent(structure, kind)
+        e_map, report = represent(structure, args.kind.upper())
     except StructureViolation as err:
         name, witness = err.violations[0]
         _emit(
@@ -177,8 +176,7 @@ def _point_name(point) -> str:
 
 def _cmd_translate(args) -> int:
     formula = _read_formula(args.formula)
-    basis = {"ai": Basis.AI, "kai": Basis.KAI, "full": Basis.AIEO_FULL}[args.to]
-    print(format_formula(expand_definitions(formula, basis)))
+    print(format_formula(expand_definitions(formula, Basis(args.to))))
     return OK
 
 
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="rewrite a formula into a functor basis")
     p.add_argument("formula")
-    p.add_argument("--to", choices=["ai", "kai", "full"], required=True)
+    p.add_argument("--to", choices=[basis.value for basis in Basis], required=True)
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("corpus", help="run the pinned catalogue")

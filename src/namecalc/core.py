@@ -75,6 +75,13 @@ class Atom:
         return atom
 
 
+# The binary connectives and their binding levels, higher binding tighter;
+# ``~`` binds tighter than all of them.  ``->`` groups to the right, the
+# others to the left.  The parser and the formatter read both facts here.
+PRECEDENCE = {"<->": 1, "->": 2, "|": 3, "&": 4}
+RIGHT_GROUPING = frozenset({"->"})
+
+
 @dataclass(frozen=True, slots=True)
 class Neg:
     operand: "Formula"
@@ -82,12 +89,12 @@ class Neg:
 
 @dataclass(frozen=True, slots=True)
 class Bin:
-    op: str  # one of "&", "|", "->", "<->"
+    op: str  # a key of PRECEDENCE
     left: "Formula"
     right: "Formula"
 
     def __post_init__(self) -> None:
-        if self.op not in ("&", "|", "->", "<->"):
+        if self.op not in PRECEDENCE:
             raise ValueError(f"bad connective: {self.op!r}")
 
 
@@ -181,6 +188,27 @@ def compose(outer: Substitution, inner: Substitution) -> dict[str, str]:
     return result
 
 
+def _match(p: Formula, c: Formula, subst: dict[str, str]) -> bool:
+    """Extend ``subst`` so that it sends pattern ``p`` to candidate ``c``;
+    false when no extension does."""
+    if isinstance(p, Atom):
+        if not isinstance(c, Atom) or p.functor is not c.functor:
+            return False
+        if subst.setdefault(p.subject, c.subject) != c.subject:
+            return False
+        if p.predicate is None:
+            return c.predicate is None
+        return c.predicate is not None and subst.setdefault(p.predicate, c.predicate) == c.predicate
+    if isinstance(p, Neg):
+        return isinstance(c, Neg) and _match(p.operand, c.operand, subst)
+    return (
+        isinstance(c, Bin)
+        and p.op == c.op
+        and _match(p.left, c.left, subst)
+        and _match(p.right, c.right, subst)
+    )
+
+
 def match_schema(pattern: Formula, candidate: Formula) -> Optional[dict[str, str]]:
     """Find the letter substitution sending pattern to candidate, if any.
 
@@ -188,43 +216,13 @@ def match_schema(pattern: Formula, candidate: Formula) -> Optional[dict[str, str
     of their letters at some atom position.
     """
     subst: dict[str, str] = {}
-
-    def walk(p: Formula, c: Formula) -> bool:
-        if isinstance(p, Atom):
-            if not isinstance(c, Atom) or p.functor is not c.functor:
-                return False
-            if not bind(p.subject, c.subject):
-                return False
-            if p.predicate is None:
-                return c.predicate is None
-            return c.predicate is not None and bind(p.predicate, c.predicate)
-        if isinstance(p, Neg):
-            return isinstance(c, Neg) and walk(p.operand, c.operand)
-        return (
-            isinstance(c, Bin)
-            and p.op == c.op
-            and walk(p.left, c.left)
-            and walk(p.right, c.right)
-        )
-
-    def bind(letter: str, target: str) -> bool:
-        bound = subst.setdefault(letter, target)
-        return bound == target
-
-    return subst if walk(pattern, candidate) else None
+    return subst if _match(pattern, candidate, subst) else None
 
 
 def match_atoms(pairs: list[tuple[Formula, Formula]]) -> Optional[dict[str, str]]:
     """Jointly match several (pattern, candidate) pairs with one substitution."""
     subst: dict[str, str] = {}
-    for pattern, candidate in pairs:
-        found = match_schema(pattern, candidate)
-        if found is None:
-            return None
-        for letter, target in found.items():
-            if subst.setdefault(letter, target) != target:
-                return None
-    return subst
+    return subst if all(_match(p, c, subst) for p, c in pairs) else None
 
 
 # Convenience constructors, used heavily by the system registry and tests.

@@ -2,12 +2,9 @@
 
 Grammar for formulas (whitespace insensitive, ASCII only):
 
-    formula := iff
-    iff     := imp ("<->" imp)*          left associative
-    imp     := or ("->" imp)?            right associative
-    or      := and ("|" and)*
-    and     := neg ("&" neg)*
-    neg     := "~" neg | atom | "(" formula ")"
+    formula := unary (BINOP unary)*      levels and grouping: core.PRECEDENCE
+    unary   := "~" unary | atom | "(" formula ")"
+    BINOP   := "<->" | "->" | "|" | "&"    loosest first; "->" groups right
     atom    := FUNC "(" LETTER ["," LETTER] ")"
     FUNC    := a|i|e|o|ka|ke|kke|ceq|deq|ot|eps|neps|ideq|ex
     LETTER  := [A-Z][A-Za-z0-9_]*
@@ -32,7 +29,8 @@ import re
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional
 
-from .core import Atom, Bin, Formula, Functor, FUNCTOR_BY_NAME, Neg, is_letter
+from .core import Atom, Bin, Formula, Functor, FUNCTOR_BY_NAME, Neg, PRECEDENCE, RIGHT_GROUPING
+from .core import is_letter
 from .semantics import Model
 from .proofscript import (
     AxiomInstance,
@@ -128,38 +126,26 @@ class _Parser:
 
     # Formula grammar.
 
-    def formula(self) -> Formula:
-        node = self.implication()
-        while self.eat("<->"):
-            node = Bin("<->", node, self.implication())
+    def formula(self, level: int = 1) -> Formula:
+        """A formula whose connectives bind at ``level`` or tighter.  Past the
+        tightest level it reads ``~``, a parenthesised formula, or an atom.
+        A parenthesis takes five frames, a ``~`` or ``->`` one.  The token
+        tests skip ``eat``, as this runs once per level per operand."""
+        if level == _UNARY:
+            if self.tokens[self.pos] == "~":
+                self.pos += 1
+                return Neg(self.formula(level))
+            if self.eat("("):
+                node = self.formula()
+                self.expect(")")
+                return node
+            return self.atom()
+        op, right = _READ[level]
+        node = self.formula(level + 1)
+        while self.tokens[self.pos] == op:
+            self.pos += 1
+            node = Bin(op, node, self.formula(right))
         return node
-
-    def implication(self) -> Formula:
-        node = self.disjunction()
-        if self.eat("->"):
-            return Bin("->", node, self.implication())
-        return node
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.eat("|"):
-            node = Bin("|", node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.negation()
-        while self.eat("&"):
-            node = Bin("&", node, self.negation())
-        return node
-
-    def negation(self) -> Formula:
-        if self.eat("~"):
-            return Neg(self.negation())
-        if self.eat("("):
-            node = self.formula()
-            self.expect(")")
-            return node
-        return self.atom()
 
     def atom(self) -> Atom:
         token = self.tokens[self.pos]
@@ -273,9 +259,18 @@ def parse_deduction_claim(text: str) -> DeductionClaim:
     return node
 
 
-# Formatting with minimal parentheses.  Level: higher binds tighter.
+# Formatting with minimal parentheses.  Each connective's level, the least
+# level each side may have without parentheses (the connective's own on the
+# side it groups to, one tighter on the other), and its separator.
 
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_NEG = 1, 2, 3, 4, 5
+_UNARY = max(PRECEDENCE.values()) + 1  # the level of ~, atoms and parentheses
+_WRITE = {
+    op: (level, level + (op in RIGHT_GROUPING), level + (op not in RIGHT_GROUPING), f" {op} ")
+    for op, level in PRECEDENCE.items()
+}
+# The parser's view of the same table: per level, the connective and the
+# level its right operand is read at.
+_READ = {level: (op, right) for op, (level, _, right, _) in _WRITE.items()}
 
 
 def _fmt(formula: Formula, minimum: int) -> str:
@@ -284,26 +279,16 @@ def _fmt(formula: Formula, minimum: int) -> str:
             return f"{formula.functor.value}({formula.subject})"
         return f"{formula.functor.value}({formula.subject},{formula.predicate})"
     if isinstance(formula, Neg):
-        return f"~{_fmt(formula.operand, _LEVEL_NEG)}"
-    if formula.op == "<->":
-        level = _LEVEL_IFF
-        text = f"{_fmt(formula.left, level)} <-> {_fmt(formula.right, level + 1)}"
-    elif formula.op == "->":
-        level = _LEVEL_IMP
-        text = f"{_fmt(formula.left, level + 1)} -> {_fmt(formula.right, level)}"
-    elif formula.op == "|":
-        level = _LEVEL_OR
-        text = f"{_fmt(formula.left, level)} | {_fmt(formula.right, level + 1)}"
-    else:
-        level = _LEVEL_AND
-        text = f"{_fmt(formula.left, level)} & {_fmt(formula.right, level + 1)}"
+        return f"~{_fmt(formula.operand, _UNARY)}"
+    level, left, right, separator = _WRITE[formula.op]
+    text = f"{_fmt(formula.left, left)}{separator}{_fmt(formula.right, right)}"
     if level < minimum:
         return f"({text})"
     return text
 
 
 def format_formula(formula: Formula) -> str:
-    return _fmt(formula, _LEVEL_IFF)
+    return _fmt(formula, 1)
 
 
 def format_sequent(sequent: Sequent) -> str:

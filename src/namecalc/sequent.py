@@ -49,7 +49,7 @@ from .proofscript import (
     SequentScript,
     Trivial,
 )
-from .systems import SCHEMAS, a, e, i
+from .systems import SYSTEMS, AxiomSchema, a, e, i
 
 
 def implication(premises: Iterable[Formula], conclusion: Formula) -> Formula:
@@ -69,17 +69,15 @@ def _is(formula: Formula, op: str) -> bool:
     return isinstance(formula, Bin) and formula.op == op
 
 
-def _definition_sequents(name: str) -> dict[str, Sequent]:
-    pattern = SCHEMAS[name].pattern
-    left, right = pattern.left, pattern.right
+def _definition_sequents(schema: AxiomSchema) -> dict[str, Sequent]:
+    left, right = schema.pattern.left, schema.pattern.right
     return {
-        f"{name}_lr": Sequent(frozenset([left]), right),
-        f"{name}_rl": Sequent(frozenset([right]), left),
+        f"{schema.name}_lr": Sequent(frozenset([left]), right),
+        f"{schema.name}_rl": Sequent(frozenset([right]), left),
     }
 
 
-def _axiom_sequent(name: str) -> Sequent:
-    pattern = SCHEMAS[name].pattern
+def _axiom_sequent(pattern: Formula) -> Sequent:
     if _is(pattern, "->"):
         premises = _flatten_conj(pattern.left)
         return Sequent(frozenset(premises), pattern.right)
@@ -92,13 +90,10 @@ def _flatten_conj(formula: Formula) -> list[Formula]:
     return [formula]
 
 
+# Łukasiewicz's axioms as sequents, then each definition as two sequents.
 AXIOM_SEQUENTS: dict[str, Sequent] = {
-    "Ia": _axiom_sequent("Ia"),
-    "Ii": _axiom_sequent("Ii"),
-    "Barbara": _axiom_sequent("Barbara"),
-    "Datisi": _axiom_sequent("Datisi"),
-    **_definition_sequents("dfE"),
-    **_definition_sequents("dfO"),
+    **{schema.name: _axiom_sequent(schema.pattern) for schema in SYSTEMS["LUK"].axioms},
+    **{k: v for schema in SYSTEMS["LUK"].definitions for k, v in _definition_sequents(schema).items()},
 }
 
 

@@ -2,7 +2,9 @@
 reference for ``namecalc.parser``, which keeps its tokens as plain strings and
 finds source spans only when it raises.  Each token here is a ``_Token`` with
 its kind and a ``SourceSpan`` made while tokenizing; the grammar, the error
-messages and the line helpers are those the package shares with it.
+messages and the line helpers are those the package shares with it.  The
+grammar keeps one method per binding level, and ``format_formula`` one branch
+per connective, where the package reads both from one connective table.
 ``ParseError`` and ``SourceSpan`` come from the package, so that errors from
 either parser compare equal."""
 
@@ -236,6 +238,39 @@ def parse_deduction_claim(text: str) -> DeductionClaim:
     node = parser.deduction_claim()
     parser.expect_end()
     return node
+
+
+# Formatting with minimal parentheses.  Level: higher binds tighter.
+
+_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_NEG = 1, 2, 3, 4, 5
+
+
+def _fmt(formula: Formula, minimum: int) -> str:
+    if isinstance(formula, Atom):
+        if formula.predicate is None:
+            return f"{formula.functor.value}({formula.subject})"
+        return f"{formula.functor.value}({formula.subject},{formula.predicate})"
+    if isinstance(formula, Neg):
+        return f"~{_fmt(formula.operand, _LEVEL_NEG)}"
+    if formula.op == "<->":
+        level = _LEVEL_IFF
+        text = f"{_fmt(formula.left, level)} <-> {_fmt(formula.right, level + 1)}"
+    elif formula.op == "->":
+        level = _LEVEL_IMP
+        text = f"{_fmt(formula.left, level + 1)} -> {_fmt(formula.right, level)}"
+    elif formula.op == "|":
+        level = _LEVEL_OR
+        text = f"{_fmt(formula.left, level)} | {_fmt(formula.right, level + 1)}"
+    else:
+        level = _LEVEL_AND
+        text = f"{_fmt(formula.left, level)} & {_fmt(formula.right, level + 1)}"
+    if level < minimum:
+        return f"({text})"
+    return text
+
+
+def format_formula(formula: Formula) -> str:
+    return _fmt(formula, _LEVEL_IFF)
 
 
 # Script lines.  Lines look like  "3: a(S,P) -> i(S,P) ; mp 1 2".

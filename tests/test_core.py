@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from namecalc.core import (
     Atom,
@@ -7,6 +8,7 @@ from namecalc.core import (
     compose,
     digit_columns,
     letters,
+    match_atoms,
     match_schema,
     substitute,
     truth,
@@ -63,6 +65,39 @@ def test_match_recovers_collapsing_substitutions(pattern, subst):
     injective = len({subst.get(x, x) for x in letters(pattern)}) == len(letters(pattern))
     if injective:
         assert found == {x: subst.get(x, x) for x in letters(pattern)}
+
+
+def _merged_matches(pairs):
+    """Joint matching as each pair's own match, merged where they agree."""
+    subst = {}
+    for pattern, candidate in pairs:
+        found = match_schema(pattern, candidate)
+        if found is None:
+            return None
+        for letter, target in found.items():
+            if subst.setdefault(letter, target) != target:
+                return None
+    return subst
+
+
+@given(st.lists(st.tuples(formulas_st(pool=("S", "P"), max_depth=3), substitutions_st), max_size=3),
+       formulas_st(pool=("S", "P"), max_depth=3))
+def test_joint_match_is_the_merge_of_the_single_matches(instances, stray):
+    # Instances under one substitution per pair: pairs sharing a letter agree
+    # on it only sometimes.  A stray candidate makes some pairs fail outright.
+    pairs = [(pattern, substitute(pattern, subst)) for pattern, subst in instances]
+    assert match_atoms(pairs) == _merged_matches(pairs)
+    if pairs:
+        spoiled = pairs + [(pairs[0][0], stray)]
+        assert match_atoms(spoiled) == _merged_matches(spoiled)
+
+
+def test_joint_match_needs_agreement_across_pairs():
+    s_p, p_s = parse_formula("a(S,P)"), parse_formula("a(P,S)")
+    assert match_atoms([(s_p, parse_formula("a(M,Q)")), (s_p, parse_formula("a(M,Q)"))]) == {"S": "M", "P": "Q"}
+    assert match_atoms([(s_p, parse_formula("a(M,Q)")), (p_s, parse_formula("a(M,Q)"))]) is None
+    assert match_atoms([(s_p, parse_formula("a(M,M)")), (p_s, parse_formula("a(M,M)"))]) == {"S": "M", "P": "M"}
+    assert match_atoms([]) == {}
 
 
 def test_schema_sets_are_closed_over_the_functor_table():

@@ -108,6 +108,34 @@ def test_formula_round_trip(formula):
     assert parse_formula(format_formula(formula)) == formula
 
 
+@settings(max_examples=1000)
+@given(formulas_st())
+def test_formula_text_matches_the_reference(formula):
+    assert format_formula(formula) == parser_reference.format_formula(formula)
+
+
+_CONNECTIVES = ["<->", "->", "|", "&"]
+_A, _B, _C = Atom(Functor.A, "S", "P"), Atom(Functor.I, "S", "P"), Atom(Functor.EX, "S")
+
+
+@pytest.mark.parametrize("outer", _CONNECTIVES)
+@pytest.mark.parametrize("inner", _CONNECTIVES)
+def test_connective_pairs_match_the_reference(outer, inner):
+    # The inner connective under the outer one on either side, with and
+    # without a negation around it, and the flat text with no parentheses.
+    trees = []
+    for nested in (Bin(inner, _A, _B), Neg(Bin(inner, _A, _B))):
+        trees += [Bin(outer, nested, _C), Bin(outer, _C, nested)]
+    for tree in trees:
+        text = format_formula(tree)
+        assert text == parser_reference.format_formula(tree)
+        assert parse_formula(text) == parser_reference.parse_formula(text) == tree
+    flat = f"a(S,P) {outer} i(S,P) {inner} ex(S)"
+    tree = parse_formula(flat)
+    assert tree == parser_reference.parse_formula(flat)
+    assert format_formula(tree) == parser_reference.format_formula(tree) == flat
+
+
 def test_sequent_set_semantics():
     left = parse_sequent("a(S,P), a(S,P) ==> a(S,P)")
     right = parse_sequent("a(S,P) ==> a(S,P)")
