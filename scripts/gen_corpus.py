@@ -37,6 +37,13 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "namecalc" / "data"
 CLASS_VALUES = [c.value for c in ModelClass]
 
 
+def require(holds: bool, message: str) -> None:
+    """Stop with the message unless the check holds; unlike assert, this
+    still runs under python -O, so no unchecked file is written."""
+    if not holds:
+        raise SystemExit(message)
+
+
 class Script:
     """Accumulates proof lines; prop() discharges a propositional step as one
     curried tautology plus detachments."""
@@ -72,11 +79,11 @@ class Script:
         curried = goal
         for fact in reversed(facts):
             curried = imp(self.formula(fact), curried)
-        assert is_cpl_tautology(curried), f"non-tautological step toward {format_formula(goal)}"
+        require(is_cpl_tautology(curried), f"non-tautological step toward {format_formula(goal)}")
         line = self.emit(curried, CplTautology())
         for fact in facts:
             line = self.emit(self.formula(line).right, Detach(fact, line))
-        assert self.formula(line) == goal
+        require(self.formula(line) == goal, f"detachments do not end at {format_formula(goal)}")
         return line
 
     def text(self) -> str:
@@ -89,8 +96,8 @@ def finish(script: Script, path: str, expect: Formula) -> str:
     text = script.text()
     parsed = parse_proof_script(text)
     report = check_proof(system(script.system_id, script.substitution_rule), parsed)
-    assert report.accepted, f"{path}: rejected at {report.failure_line}: {report.reason}"
-    assert parsed.conclusion == expect, f"{path}: wrong conclusion"
+    require(report.accepted, f"{path}: rejected at {report.failure_line}: {report.reason}")
+    require(parsed.conclusion == expect, f"{path}: wrong conclusion")
     (DATA / path).write_text(text)
     return format_formula(expect)
 
@@ -275,7 +282,7 @@ def verdicts_for(formula: Formula) -> dict[str, str]:
         for cls in ModelClass:
             oracle = oracle_decide(formula, cls, 6)
             agreed = ("valid" if isinstance(oracle, Valid) else "invalid") == out[cls.value]
-            assert agreed, f"oracle disagrees on {format_formula(formula)} in {cls.value}"
+            require(agreed, f"oracle disagrees on {format_formula(formula)} in {cls.value}")
     return out
 
 
@@ -311,7 +318,7 @@ def hilbert_entry(name, group, system_id, goal, build, flags=(), notes="", heade
 
 def check_soundness(system_id: str, goal: Formula) -> None:
     for cls in system(system_id).model_classes:
-        assert isinstance(decide(goal, cls), Valid), f"{format_formula(goal)} not valid in {cls}"
+        require(isinstance(decide(goal, cls), Valid), f"{format_formula(goal)} not valid in {cls}")
 
 
 def gen_moods() -> None:
@@ -335,10 +342,10 @@ def gen_moods() -> None:
         text = finish(b, f"scripts/{lower}.proof", goal)
         add_entry(lower, "moods", "formula", text, verdicts_for(goal), [("LUK", f"scripts/{lower}.proof")], flags, notes)
         for cls in (ModelClass.TRADITIONAL, ModelClass.POLYREFERENTIAL):
-            assert isinstance(decide(goal, cls), Valid)
+            require(isinstance(decide(goal, cls), Valid), f"{format_formula(goal)} not valid in {cls}")
         if not existential:
             body = (DATA / f"scripts/{lower}.proof").read_text()
-            assert "ax Ii" not in body, f"{name} must avoid the reflexive-i axiom"
+            require("ax Ii" not in body, f"{name} must avoid the reflexive-i axiom")
 
 
 def gen_square() -> None:
@@ -827,16 +834,14 @@ def gen_sequent_and_deduction() -> None:
 
     for filename, text in SEQUENT_FILES.items():
         path = f"sequents/{filename}"
+        report = check_sequent_proof(parse_sequent_script(text))
+        require(report.accepted, f"{path}: {report.failure_line} {report.reason}")
         (DATA / path).write_text(text)
-        parsed = parse_sequent_script(text)
-        report = check_sequent_proof(parsed)
-        assert report.accepted, f"{path}: {report.failure_line} {report.reason}"
     for filename, text in DEDUCTION_FILES.items():
         path = f"deductions/{filename}"
+        report = check_smiley_deduction(parse_deduction_script(text))
+        require(report.accepted, f"{path}: {report.failure_line} {report.reason}")
         (DATA / path).write_text(text)
-        parsed = parse_deduction_script(text)
-        report = check_smiley_deduction(parsed)
-        assert report.accepted, f"{path}: {report.failure_line} {report.reason}"
 
     def seq_formula(filename: str) -> str:
         parsed = parse_sequent_script((DATA / f"sequents/{filename}").read_text())

@@ -49,30 +49,46 @@ def is_letter(name: str) -> bool:
     return bool(_LETTER_RE.match(name))
 
 
-@dataclass(frozen=True, slots=True)
+# Formula nodes are interned (hash-consed): each constructor returns the one
+# node with its fields, built and checked on first use and then kept for the
+# life of the process.  Equal formulas are therefore the same object, so
+# ``==`` and ``hash`` are object identity, and a set of formulas hashes no
+# tree.  Each table is keyed by the ids of a node's children, which the kept
+# node holds alive; the tables only grow, with the formulas a process builds.
+# Set iteration follows memory addresses, so whatever reaches output goes
+# through a sorted or insertion order, never a set's own order.
+_ATOMS: dict[tuple[int, str, Optional[str]], "Atom"] = {}
+_NEGS: dict[int, "Neg"] = {}
+_BINS: dict[tuple[str, int, int], "Bin"] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Atom:
     functor: Functor
     subject: str
     predicate: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not is_letter(self.subject):
-            raise ValueError(f"bad name letter: {self.subject!r}")
-        if self.functor.arity == 1:
-            if self.predicate is not None:
-                raise ValueError(f"{self.functor.value} takes one letter")
-        else:
-            if self.predicate is None or not is_letter(self.predicate):
-                raise ValueError(f"bad name letter: {self.predicate!r}")
+    def __new__(cls, functor: Functor, subject: str, predicate: Optional[str] = None) -> "Atom":
+        key = (id(functor), subject, predicate)
+        node = _ATOMS.get(key)
+        if node is not None:
+            return node
+        if not is_letter(subject):
+            raise ValueError(f"bad name letter: {subject!r}")
+        if functor.arity == 1:
+            if predicate is not None:
+                raise ValueError(f"{functor.value} takes one letter")
+        elif predicate is None or not is_letter(predicate):
+            raise ValueError(f"bad name letter: {predicate!r}")
+        node = object.__new__(cls)
+        object.__setattr__(node, "functor", functor)
+        object.__setattr__(node, "subject", subject)
+        object.__setattr__(node, "predicate", predicate)
+        _ATOMS[key] = node
+        return node
 
-    @classmethod
-    def unchecked(cls, functor: Functor, subject: str, predicate: Optional[str] = None) -> "Atom":
-        """An atom whose letters and arity the caller (the parser) has checked."""
-        atom = object.__new__(cls)
-        object.__setattr__(atom, "functor", functor)
-        object.__setattr__(atom, "subject", subject)
-        object.__setattr__(atom, "predicate", predicate)
-        return atom
+    def __reduce__(self) -> tuple:
+        return Atom, (self.functor, self.subject, self.predicate)
 
 
 # The binary connectives and their binding levels, higher binding tighter;
@@ -82,20 +98,44 @@ PRECEDENCE = {"<->": 1, "->": 2, "|": 3, "&": 4}
 RIGHT_GROUPING = frozenset({"->"})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Neg:
     operand: "Formula"
 
+    def __new__(cls, operand: "Formula") -> "Neg":
+        node = _NEGS.get(id(operand))
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "operand", operand)
+            _NEGS[id(operand)] = node
+        return node
 
-@dataclass(frozen=True, slots=True)
+    def __reduce__(self) -> tuple:
+        return Neg, (self.operand,)
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Bin:
     op: str  # a key of PRECEDENCE
     left: "Formula"
     right: "Formula"
 
-    def __post_init__(self) -> None:
-        if self.op not in PRECEDENCE:
-            raise ValueError(f"bad connective: {self.op!r}")
+    def __new__(cls, op: str, left: "Formula", right: "Formula") -> "Bin":
+        key = (op, id(left), id(right))
+        node = _BINS.get(key)
+        if node is not None:
+            return node
+        if op not in PRECEDENCE:
+            raise ValueError(f"bad connective: {op!r}")
+        node = object.__new__(cls)
+        object.__setattr__(node, "op", op)
+        object.__setattr__(node, "left", left)
+        object.__setattr__(node, "right", right)
+        _BINS[key] = node
+        return node
+
+    def __reduce__(self) -> tuple:
+        return Bin, (self.op, self.left, self.right)
 
 
 Formula = Union[Atom, Neg, Bin]

@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Optional, Sequence, Union
 
-from .core import Atom, Formula, Functor, atoms, digit_columns, distinct_atoms, letters, truth
+from .core import Atom, Formula, Functor, digit_columns, distinct_atoms, letters, truth
 from .semantics import (
     _UNIVERSE_MINIMUM, SHAPE, Model, ModelClass, SINGLE, admitted, evaluate, holds, in_class, outside,
 )
@@ -167,8 +167,8 @@ def _zone(f: Functor, s: int, p: int, regions: int) -> tuple[int, ...]:
 # Per call, each half maps head & mask to the OR of its terms, the low half's
 # ORed with the spanned part, so a table's zone is low[head & low_mask] |
 # high[head & high_mask]; an entry is built when a table first reads it.
-# Atom values sit in a list by distinct-atom position, and the fold's leaf
-# finds an occurrence's position by its id, so no table hashes an atom.
+# Atom values sit in a list by distinct-atom position; equal atoms are one
+# interned node, so the fold's leaf finds its position by identity hashing.
 
 ORACLE_MAX_LETTERS = 3
 ORACLE_MAX_UNIVERSE = 8
@@ -236,14 +236,12 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     moving = [j for j, mask in enumerate(masks) if mask]
     head_bits = (1 << digits - spanned) - 1
     index = {v: j for j, v in enumerate(vocab)}
-    # Each occurrence's position among the distinct atoms, by its id.
-    position, slot = {}, {}
-    for occurrence in atoms(formula):
-        slot[id(occurrence)] = position.setdefault(occurrence, len(position))
+    # Each distinct atom's position, in order of first occurrence.
+    position = {atom: k for k, atom in enumerate(distinct_atoms(formula))}
     values = [0] * len(position)
 
     def leaf(atom: Atom) -> int:
-        return values[slot[id(atom)]]
+        return values[position[atom]]
 
     fixed, varying = [], []
     for atom, k in position.items():

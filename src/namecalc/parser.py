@@ -160,11 +160,11 @@ class _Parser:
                 raise self.fail(f"functor {functor.value!r} takes two letters")
             predicate = self.letter()
             self.expect(")")
-            return Atom.unchecked(functor, subject, predicate)
+            return Atom(functor, subject, predicate)
         if self.tokens[self.pos] == ",":
             raise self.fail(f"functor {functor.value!r} takes one letter")
         self.expect(")")
-        return Atom.unchecked(functor, subject)
+        return Atom(functor, subject)
 
     def letter(self) -> str:
         token = self.tokens[self.pos]

@@ -1,10 +1,17 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from namecalc import core
 from namecalc.core import (
     Atom,
+    Bin,
     Functor,
+    Neg,
     compose,
     digit_columns,
     letters,
@@ -13,7 +20,7 @@ from namecalc.core import (
     substitute,
     truth,
 )
-from namecalc.parser import parse_formula
+from namecalc.parser import format_formula, parse_formula
 from namecalc.systems import SCHEMAS, SYSTEMS
 
 from conftest import formulas_st, substitutions_st
@@ -126,6 +133,59 @@ def test_atom_validation():
         Atom(Functor.EX, "S", "P")
     with pytest.raises(ValueError):
         Atom(Functor.A, "S")
+
+
+def test_equal_nodes_are_one_object():
+    a_sp, ex_m = Atom(Functor.A, "S", "P"), Atom(Functor.EX, "M")
+    built = Bin("<->", Neg(Bin("&", a_sp, ex_m)), Bin("|", Atom(Functor.I, "P", "S"), Neg(Neg(a_sp))))
+    parsed = parse_formula("~(a(S,P) & ex(M)) <-> i(P,S) | ~~a(S,P)")
+    assert parsed is built
+    assert parse_formula("a(S,P) & ex(M)") is built.left.operand
+    assert substitute(parse_formula("~(a(Q,P) & ex(S)) <-> i(P,Q) | ~~a(Q,P)"), {"Q": "S", "S": "M"}) is built
+    assert dataclasses.replace(built, op="<->") is built
+    assert dataclasses.replace(built.right, op="&") is parse_formula("i(P,S) & ~~a(S,P)")
+    assert dataclasses.replace(a_sp, subject="P", predicate="S") is Atom(Functor.A, "P", "S")
+    assert dataclasses.replace(built.left, operand=a_sp) is Neg(a_sp)
+    for node in (built, built.left, built.right.right, a_sp, ex_m):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(node, protocol)) is node
+    # Equality and hashing are object identity: no set operation walks a tree.
+    for cls in (Atom, Neg, Bin):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+@given(formulas_st(), substitutions_st)
+def test_every_route_to_a_formula_gives_the_interned_node(formula, subst):
+    assert parse_formula(format_formula(formula)) is formula
+    assert substitute(formula, {}) is formula
+    assert copy.deepcopy(formula) is formula
+    assert pickle.loads(pickle.dumps(formula)) is formula
+    image = substitute(formula, subst)
+    assert parse_formula(format_formula(image)) is image
+
+
+def test_failed_builds_enter_no_table():
+    a_sp = Atom(Functor.A, "S", "P")
+    not_a, both = Neg(a_sp), Bin("&", a_sp, a_sp)
+    tables = (core._ATOMS, core._NEGS, core._BINS)
+    sizes = [len(table) for table in tables]
+    bad = [
+        lambda: Atom(Functor.A, "lower", "P"),
+        lambda: Atom(Functor.A, "S", "p"),
+        lambda: Atom(Functor.EX, "S", "P"),
+        lambda: Atom(Functor.A, "S"),
+        lambda: Bin("=>", a_sp, a_sp),
+        lambda: Bin("<-", not_a, not_a),
+        lambda: dataclasses.replace(a_sp, subject="s"),
+        lambda: dataclasses.replace(both, op="and"),
+    ]
+    for build in bad:
+        for _ in range(2):  # a failed build leaves nothing that a retry would find
+            with pytest.raises(ValueError):
+                build()
+    assert [len(table) for table in tables] == sizes
 
 
 @pytest.mark.parametrize("base, widest", [(2, 8), (3, 5)])
