@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,7 +22,13 @@ from namecalc.representation import (
     verify_structure,
 )
 from namecalc.semantics import ModelClass, evaluate, make_model, random_model
-from representation_reference import reference_canonical_model, reference_represent
+from representation_reference import (
+    reference_canonical_model,
+    reference_i_sets,
+    reference_represent,
+    reference_structure_from_model,
+    reference_verify_structure,
+)
 
 VOCAB3 = ("S", "P", "M")
 
@@ -302,3 +309,77 @@ def test_filters_model_is_the_represent_map_of_its_diagram():
             assert built.universe == covered | letter_points
             outside_every_image += not letter_points <= covered
     assert outside_every_image
+
+
+def _random_structure(rng: random.Random, n: int) -> RelationalStructure:
+    """A structure on n elements, listed in a random order, with arbitrary A,
+    I and eps: each may be empty, not reflexive or not transitive, and eps
+    may be missing."""
+    carrier = tuple(rng.sample([f"x{k}" for k in range(9)], n))
+    loops = rng.choice((0, 0.5, 1))
+    pa = rng.choice((0, 0.15, 0.4, 0.8))
+    pi = rng.choice((0, 0.3, 0.7, 0.95, 1))
+
+    def relation(p, diagonal):
+        return frozenset((x, y) for x in carrier for y in carrier
+                         if rng.random() < (diagonal if x == y else p))
+
+    eps = None if rng.random() < 0.3 else relation(rng.choice((0, 0.2, 0.6)), rng.choice((0, 0.5)))
+    return RelationalStructure(carrier, relation(pa, loops), relation(pi, max(pi, loops)), eps)
+
+
+def test_i_sets_and_conditions_match_the_reference_on_arbitrary_structures():
+    rng = random.Random(20240)
+    with_i_sets = larger = 0
+    violated = set()
+    for _ in range(3000):
+        structure = _random_structure(rng, rng.randint(1, 9))
+        expected = reference_i_sets(structure)
+        assert i_sets(structure) == expected, format_structure(structure)
+        with_i_sets += bool(expected)
+        larger += len(expected) > 20
+        for kind in ("B1", "B3", "C"):
+            found = reference_verify_structure(structure, kind)
+            assert verify_structure(structure, kind) == found, (kind, format_structure(structure))
+            violated |= {name for name, _ in found}
+    assert with_i_sets > 1000 and larger > 100
+    assert violated == {"B1", "B2", "B3", "B4", "B4'", "B5", "C0", "C1", "C2", "C4"}
+
+
+def test_structure_from_model_matches_the_reference():
+    letters = ("M", "P", "Q", "R", "S")
+    for seed in range(400):
+        cls = list(ModelClass)[seed % 4]
+        vocab = letters[: 1 + seed % 5]
+        denoted = vocab[: len(vocab) - seed // 4 % 3]  # up to two letters left out of the map
+        model = random_model(seed, denoted, cls, 2 + seed % 4)
+        for with_eps in (True, False):
+            assert structure_from_model(model, vocab, with_eps) == reference_structure_from_model(
+                model, vocab, with_eps), (seed, with_eps)
+
+
+CARRIER13 = tuple(f"e{k:02d}" for k in range(13))
+
+
+def test_i_sets_of_a_sparse_13_element_chain():
+    """A total order below a total overlap: only the 13 upper sets are I-sets."""
+    chain = RelationalStructure(
+        CARRIER13,
+        frozenset((x, y) for x, y in itertools.product(CARRIER13, repeat=2) if x <= y),
+        frozenset(itertools.product(CARRIER13, repeat=2)),
+    )
+    family = i_sets(chain)
+    assert family == [frozenset(CARRIER13[k:]) for k in reversed(range(13))]
+    assert family == reference_i_sets(chain)
+    assert verify_structure(chain, "B1") == reference_verify_structure(chain, "B1") == []
+
+
+def test_i_sets_when_every_subset_is_one():
+    every = RelationalStructure(
+        CARRIER13,
+        frozenset((x, x) for x in CARRIER13),
+        frozenset(itertools.product(CARRIER13, repeat=2)),
+    )
+    family = i_sets(every)
+    assert len(family) == 2 ** 13 - 1
+    assert family == reference_i_sets(every)
