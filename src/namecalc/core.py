@@ -34,14 +34,21 @@ class Functor(Enum):
     IDEQ = "ideq"    # singular identity: equal singletons
     EX = "ex"        # the subject exists (unary)
 
-    @property
-    def arity(self) -> int:
-        return 1 if self is Functor.EX else 2
+    # Members hash by identity, in C; ``Enum``'s own ``__hash__`` hashes the
+    # name in Python, and functors key ``semantics.SHAPE`` and lru_cache
+    # entries on every evaluation.  No set of functors is iterated into output.
+    __hash__ = object.__hash__
+
+    def __init__(self, value: str):
+        # A plain attribute rather than a property: the parser reads it per atom.
+        self.arity = 1 if value == "ex" else 2
 
 
 FUNCTOR_BY_NAME = {f.value: f for f in Functor}
 
 _LETTER_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
+# The characters a name letter may start with; the rest are word characters.
+LETTER_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def is_letter(name: str) -> bool:

@@ -17,9 +17,13 @@ error.  Each of the three script formats is data: a tag table maps each
 justification tag to its class and its field kinds, each kind a (read, write)
 pair, and one parse loop and one formatter serve every format.
 
-Tokens are plain strings from one ``findall``; a token's kind follows from
-its text.  Source spans are computed only on the error path, by scanning the
-text again when a ``ParseError`` is raised.
+Tokens are plain strings from one ``findall`` per text, and a token's kind
+follows from its text.  A script line is one text: its body and its
+justification read their parts of the line's one token list, cut at its last
+``;``.  Formulas are read by precedence climbing, one ``unary`` call per
+operand, and an atom's tokens are checked by position in one step.  Source
+spans are computed only on the error path, by scanning the text again when a
+``ParseError`` is raised.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, NoReturn, Optional
 
-from .core import Atom, Bin, Formula, Functor, FUNCTOR_BY_NAME, Neg, PRECEDENCE, RIGHT_GROUPING
+from .core import Atom, Bin, Formula, Functor, FUNCTOR_BY_NAME, LETTER_START, Neg, PRECEDENCE, RIGHT_GROUPING
 from .core import is_letter
 from .semantics import Model
 from .proofscript import (
@@ -81,30 +85,47 @@ _SYMBOLS = frozenset(("<->", "==>", ":=", "->", "|-", *"(),~&|:;[]-"))
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
+def _span(text: str, offset: int, index: int) -> SourceSpan:
+    """The source span of token ``index`` of ``text``, the end's at the end of the text."""
+    matches = list(_TOKEN.finditer(text))
+    start, end = matches[index].span() if index < len(matches) else (len(text),) * 2
+    return SourceSpan(start + offset, end + offset)
+
+
+def _tokenize(text: str, offset: int) -> list[str]:
+    """The tokens of ``text`` and the end marker ``""``: one ``findall`` and one
+    pass over the distinct tokens, which raises at the first character that no
+    token kind accepts."""
+    tokens = _TOKEN.findall(text)
+    foreign = [t for t in set(tokens).difference(_SYMBOLS) if t[0] not in _WORD_START]
+    if foreign:
+        first = min(map(tokens.index, foreign))
+        raise ParseError(f"unexpected character {tokens[first]!r}", _span(text, offset, first))
+    tokens.append("")
+    return tokens
+
+
 class _Parser:
-    """Reads the tokens of one text, each a plain string; ``""`` marks the end.
+    """Reads ``tokens``, the tokens of ``text`` from ``_tokenize``, each a
+    plain string; ``""`` marks the end.  A script line is tokenized once, and
+    its body and justification read their parts of that one list
+    (``_split_line``).
 
-    Every token accepted here is a symbol or an ASCII word, so
-    ``str.isidentifier`` is true exactly for names and ``str.isdigit`` exactly
-    for line numbers.  No span is kept: ``span`` finds a token's again from
-    the text when an error is raised."""
+    Every token accepted here is a symbol, a digit run or an ASCII word, so
+    ``str.isidentifier`` is true exactly for names, ``str.isdigit`` exactly
+    for line numbers, and a token (or the end marker) is a name letter, as
+    ``core.is_letter`` defines it, exactly when its first character is in
+    ``core.LETTER_START``.  No span is kept: ``span`` finds a token's again
+    from the text when an error is raised."""
 
-    def __init__(self, text: str, offset: int = 0):
+    def __init__(self, text: str, offset: int, tokens: list[str]):
         self.text = text
         self.offset = offset
-        self.tokens = _TOKEN.findall(text)
+        self.tokens = tokens
         self.pos = 0
-        foreign = [t for t in set(self.tokens).difference(_SYMBOLS) if t[0] not in _WORD_START]
-        if foreign:
-            first = min(map(self.tokens.index, foreign))
-            raise self.fail(f"unexpected character {self.tokens[first]!r}", first)
-        self.tokens.append("")
 
     def span(self, index: int) -> SourceSpan:
-        """The source span of token ``index``, the end's at the end of the text."""
-        matches = list(_TOKEN.finditer(self.text))
-        start, end = matches[index].span() if index < len(matches) else (len(self.text),) * 2
-        return SourceSpan(start + self.offset, end + self.offset)
+        return _span(self.text, self.offset, index)
 
     def fail(self, message: str, index: Optional[int] = None) -> ParseError:
         return ParseError(message, self.span(self.pos if index is None else index))
@@ -127,48 +148,67 @@ class _Parser:
     # Formula grammar.
 
     def formula(self, level: int = 1) -> Formula:
-        """A formula whose connectives bind at ``level`` or tighter.  Past the
-        tightest level it reads ``~``, a parenthesised formula, or an atom.
-        A parenthesis takes five frames, a ``~`` or ``->`` one.  The token
-        tests skip ``eat``, as this runs once per level per operand."""
-        if level == _UNARY:
-            if self.tokens[self.pos] == "~":
-                self.pos += 1
-                return Neg(self.formula(level))
-            if self.eat("("):
-                node = self.formula()
-                self.expect(")")
-                return node
-            return self.atom()
-        op, right = _READ[level]
-        node = self.formula(level + 1)
-        while self.tokens[self.pos] == op:
+        """A formula whose connectives bind at ``level`` or tighter, by
+        precedence climbing over ``_READ``: each operand is one ``unary``
+        call, and each connective read here reads its right operand at the
+        level ``_READ`` gives it.  A parenthesis takes two frames, this and
+        ``unary``; a ``~`` or ``->`` takes one."""
+        node = self.unary()
+        tokens = self.tokens
+        row = _READ.get(tokens[self.pos])
+        while row is not None and row[0] >= level:
+            op = tokens[self.pos]
             self.pos += 1
-            node = Bin(op, node, self.formula(right))
+            node = Bin(op, node, self.formula(row[1]))
+            row = _READ.get(tokens[self.pos])
         return node
 
-    def atom(self) -> Atom:
-        token = self.tokens[self.pos]
+    def unary(self) -> Formula:
+        """``~``, a parenthesised formula, or an atom, whose 4 or 6 tokens
+        are checked by position; ``_reject_atom`` names the first that is wrong."""
+        tokens = self.tokens
+        at = self.pos
+        token = tokens[at]
+        if token == "~":
+            self.pos = at + 1
+            return Neg(self.unary())
+        if token == "(":
+            self.pos = at + 1
+            node = self.formula()
+            self.expect(")")
+            return node
         functor = FUNCTOR_BY_NAME.get(token)
+        if functor is not None and tokens[at + 1] == "(" and tokens[at + 2][:1] in LETTER_START:
+            if functor.arity == 2:
+                if tokens[at + 3] == "," and tokens[at + 4][:1] in LETTER_START and tokens[at + 5] == ")":
+                    self.pos = at + 6
+                    return Atom(functor, tokens[at + 2], tokens[at + 4])
+            elif tokens[at + 3] == ")":
+                self.pos = at + 4
+                return Atom(functor, tokens[at + 2])
+        self._reject_atom(at, functor)
+
+    def _reject_atom(self, at: int, functor: Optional[Functor]) -> NoReturn:
+        """Raises the error for the malformed atom at token ``at``, making
+        ``unary``'s checks one token at a time in the same order: when all
+        the others pass, the closing parenthesis is the token it refused."""
+        token = self.tokens[at]
         if functor is None:
-            raise self.fail(f"unknown functor {token!r}" if token.isidentifier() else "expected a functor")
-        self.pos += 1
+            raise self.fail(f"unknown functor {token!r}" if token.isidentifier() else "expected a functor", at)
+        self.pos = at + 1
         self.expect("(")
-        subject = self.letter()
+        self.letter()
         if functor.arity == 2:
             if not self.eat(","):
                 raise self.fail(f"functor {functor.value!r} takes two letters")
-            predicate = self.letter()
-            self.expect(")")
-            return Atom(functor, subject, predicate)
-        if self.tokens[self.pos] == ",":
+            self.letter()
+        elif self.tokens[self.pos] == ",":
             raise self.fail(f"functor {functor.value!r} takes one letter")
-        self.expect(")")
-        return Atom(functor, subject)
+        raise self.fail("expected ')'")
 
     def letter(self) -> str:
         token = self.tokens[self.pos]
-        if not is_letter(token):
+        if token[:1] not in LETTER_START:
             raise self.fail("expected a name letter")
         self.pos += 1
         return token
@@ -239,21 +279,21 @@ _CATEGORICAL = (Functor.A, Functor.I, Functor.E, Functor.O)
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
+    parser = _Parser(text, 0, _tokenize(text, 0))
     node = parser.formula()
     parser.expect_end()
     return node
 
 
 def parse_sequent(text: str) -> Sequent:
-    parser = _Parser(text)
+    parser = _Parser(text, 0, _tokenize(text, 0))
     node = parser.sequent()
     parser.expect_end()
     return node
 
 
 def parse_deduction_claim(text: str) -> DeductionClaim:
-    parser = _Parser(text)
+    parser = _Parser(text, 0, _tokenize(text, 0))
     node = parser.deduction_claim()
     parser.expect_end()
     return node
@@ -268,9 +308,9 @@ _WRITE = {
     op: (level, level + (op in RIGHT_GROUPING), level + (op not in RIGHT_GROUPING), f" {op} ")
     for op, level in PRECEDENCE.items()
 }
-# The parser's view of the same table: per level, the connective and the
+# The parser's view of the same table: per connective, its level and the
 # level its right operand is read at.
-_READ = {level: (op, right) for op, (level, _, right, _) in _WRITE.items()}
+_READ = {op: (level, right) for op, (level, _, right, _) in _WRITE.items()}
 
 
 def _fmt(formula: Formula, minimum: int) -> str:
@@ -368,10 +408,20 @@ def _script_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _split_line(offset: int, content: str) -> tuple[_Parser, _Parser]:
+    """Parsers for the body and the justification, cut at the last ``;``.
+
+    The line is tokenized once.  ``;`` is always a token of its own, so the
+    last ``;`` token is where the text is cut: it becomes the body's end
+    marker, and the justification reads the tokens after it."""
     if ";" not in content:
         raise ParseError("missing ';' before the justification", SourceSpan(offset, offset + len(content)))
-    body, just = content.rsplit(";", 1)
-    return _Parser(body, offset), _Parser(just, offset + len(body) + 1)
+    tokens = _tokenize(content, offset)
+    last = len(tokens) - 2
+    while tokens[last] != ";":
+        last -= 1
+    tokens[last] = ""
+    cut = content.rindex(";")
+    return _Parser(content[:cut], offset, tokens), _Parser(content[cut + 1:], offset + cut + 1, tokens[last + 1:])
 
 
 def _line_header(parser: _Parser, previous: int) -> int:

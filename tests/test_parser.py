@@ -13,6 +13,7 @@ from namecalc.parser import (
     ParseError,
     SourceSpan,
     _Parser,
+    _tokenize,
     format_deduction_claim,
     format_formula,
     format_model,
@@ -248,6 +249,25 @@ _RULE_NAMES = st.one_of(
 _SUBSTS = st.one_of(st.none(), substitutions_st.map(lambda d: tuple(sorted(d.items()))))
 
 
+def _sequent_justifications(cite):
+    return st.one_of(
+        st.builds(LukAxiomSequent, st.sampled_from(sorted(AXIOM_SEQUENTS)), _SUBSTS),
+        st.just(CplConsequenceAxiom()),
+        st.builds(Cut, cite, cite),
+        st.builds(Deduction, cite),
+        st.builds(DerivedRule, _RULE_NAMES, st.lists(cite, max_size=2).map(tuple)),
+    )
+
+
+def _deduction_justifications(cite):
+    return st.one_of(
+        st.just(Trivial()),
+        st.builds(CutWithRule, cite, cite, st.sampled_from([1, 2])),
+        st.builds(CutWithRule, cite, st.none(), st.sampled_from([3, 4])),
+        st.builds(Reductio, cite, cite),
+    )
+
+
 @settings(max_examples=100)
 @given(
     st.lists(
@@ -260,16 +280,7 @@ _SUBSTS = st.one_of(st.none(), substitutions_st.map(lambda d: tuple(sorted(d.ite
 def test_sequent_script_round_trip(sequents, data):
     lines = []
     for k, (premises, conclusion) in enumerate(sequents, start=1):
-        cite = st.integers(1, k)
-        just = data.draw(
-            st.one_of(
-                st.builds(LukAxiomSequent, st.sampled_from(sorted(AXIOM_SEQUENTS)), _SUBSTS),
-                st.just(CplConsequenceAxiom()),
-                st.builds(Cut, cite, cite),
-                st.builds(Deduction, cite),
-                st.builds(DerivedRule, _RULE_NAMES, st.lists(cite, max_size=2).map(tuple)),
-            )
-        )
+        just = data.draw(_sequent_justifications(st.integers(1, k)))
         lines.append(SequentLine(k, Sequent(frozenset(premises), conclusion), just))
     script = SequentScript(tuple(lines))
     text = format_sequent_script(script)
@@ -297,15 +308,7 @@ _CATEGORICAL_ATOMS = st.builds(
 def test_deduction_script_round_trip(claims, data):
     lines = []
     for k, (premises, conclusion) in enumerate(claims, start=1):
-        cite = st.integers(1, k)
-        just = data.draw(
-            st.one_of(
-                st.just(Trivial()),
-                st.builds(CutWithRule, cite, cite, st.sampled_from([1, 2])),
-                st.builds(CutWithRule, cite, st.none(), st.sampled_from([3, 4])),
-                st.builds(Reductio, cite, cite),
-            )
-        )
+        just = data.draw(_deduction_justifications(st.integers(1, k)))
         lines.append(DeductionLine(k, DeductionClaim(frozenset(premises), conclusion), just))
     script = DeductionScript(tuple(lines))
     text = format_deduction_script(script)
@@ -442,6 +445,20 @@ _MALFORMED = [
     "1: a(S,M) |- a(S,M) ; triv 1",
     "1: a(S,M) |- a(S,M) ; triv\n\n# gap\n3: a(S,M) |- a(S,M) ; cut 1 r4",
     "1: ka(S,M) |- a(S,M) ; triv",
+    # Cut at the last ';' of a line that is tokenized once.
+    "1: a(S,S) ;; ax Ia",
+    "1: a(S,S) ; ax Ia ; mp 1 2",
+    "1: a(S,S) § ; ax Ia",
+    "1: a(S,S) ; ax Ia §",
+    "1: a(S,S) ; ax # Ia",
+    "1: a(S,S) ; ax Ia # note ; mp 1 2",
+    # Atoms checked by position: a ',' where '(' belongs is "expected '('"
+    # for either arity, and "takes one letter" only where ')' belongs.
+    "1: ex,S) ; cpl",
+    "1: ex , S) ; cpl",
+    "1: ex(S T) ; cpl",
+    "1: a,S,T) ; cpl",
+    "1: a(S,T,U) ; cpl",
 ]
 
 
@@ -468,7 +485,7 @@ def _parsed(parse, text):
 
 
 def _live_tokens(text):
-    parser = _Parser(text)
+    parser = _Parser(text, 0, _tokenize(text, 0))
     return [(_kind(token), token, parser.span(i)) for i, token in enumerate(parser.tokens)]
 
 
@@ -503,10 +520,16 @@ def _mutated_texts(draw):
     else:
         premises = draw(st.lists(_CATEGORICAL_ATOMS, min_size=1, max_size=3))
         text = format_deduction_claim(DeductionClaim(frozenset(premises), draw(_CATEGORICAL_ATOMS)))
+    return _mutate(draw, text, _STRAY_CHARACTERS, _SYMBOL_TOKENS)
+
+
+def _mutate(draw, text, inserts, swaps):
+    """``text`` with one token dropped or duplicated, one symbol token
+    swapped for another of ``swaps``, or one of ``inserts`` put anywhere."""
     mutation = draw(st.sampled_from(["drop", "duplicate", "swap", "insert"]))
     if mutation == "insert":
         at = draw(st.integers(0, len(text)))
-        return text[:at] + draw(st.sampled_from(_STRAY_CHARACTERS)) + text[at:]
+        return text[:at] + draw(st.sampled_from(inserts)) + text[at:]
     tokens = parser_reference._tokenize(text)[:-1]
     if mutation == "swap":
         tokens = [token for token in tokens if token.kind == "sym"]
@@ -514,7 +537,7 @@ def _mutated_texts(draw):
     replacement = {
         "drop": "",
         "duplicate": f"{token.text} {token.text}",
-        "swap": draw(st.sampled_from([sym for sym in _SYMBOL_TOKENS if sym != token.text])),
+        "swap": draw(st.sampled_from([sym for sym in swaps if sym != token.text])),
     }[mutation]
     return text[: token.span.start] + replacement + text[token.span.end:]
 
@@ -528,6 +551,52 @@ def test_formula_level_parsing_matches_the_reference(text):
         (parse_deduction_claim, parser_reference.parse_deduction_claim),
     ):
         assert _parsed(parse, text) == _parsed(reference_parse, text), text
+
+
+# Script-level parsing against the frozen reference, on printed scripts of
+# each format with one token-level mutation each, read by all three formats.
+
+def _proof_justifications(cite):
+    return st.one_of(
+        st.just(CplTautology()),
+        st.builds(AxiomInstance, st.sampled_from(sorted(SCHEMAS)), _SUBSTS),
+        st.builds(Detach, cite, cite),
+        st.builds(Substitute, cite, _SUBSTS.map(lambda subst: subst or ())),
+    )
+
+
+_SCRIPT_SHAPES = {
+    "proof": (formulas_st(max_depth=3), _proof_justifications, ProofLine, ProofScript),
+    "seq": (
+        st.builds(lambda premises, conclusion: Sequent(frozenset(premises), conclusion),
+                  st.lists(formulas_st(max_depth=2), max_size=2), formulas_st(max_depth=2)),
+        _sequent_justifications, SequentLine, SequentScript,
+    ),
+    "ded": (
+        st.builds(lambda premises, conclusion: DeductionClaim(frozenset(premises), conclusion),
+                  st.lists(_CATEGORICAL_ATOMS, min_size=1, max_size=3), _CATEGORICAL_ATOMS),
+        _deduction_justifications, DeductionLine, DeductionScript,
+    ),
+}
+
+
+@st.composite
+def _mutated_scripts(draw):
+    fmt = draw(st.sampled_from(sorted(_SCRIPT_SHAPES)))
+    bodies, justifications, line, script = _SCRIPT_SHAPES[fmt]
+    lines = [
+        line(k, draw(bodies), draw(justifications(st.integers(1, k))))
+        for k in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+    text = _FORMATS[fmt][1](script(tuple(lines)))
+    return _mutate(draw, text, [";", "#", *_STRAY_CHARACTERS], [*_SYMBOL_TOKENS, "#"])
+
+
+@settings(max_examples=300)
+@given(_mutated_scripts())
+def test_script_level_parsing_matches_the_reference(text):
+    for fmt in _FORMATS:
+        _assert_matches_reference(fmt, text)
 
 
 # Run in a fresh interpreter, so that both parsers start from the same stack
