@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate the pinned corpus under src/namecalc/data/.
 
-Every derivation is built here, checked against the proof kernels, decided
-for soundness in its system's model classes, and cross-checked against the
-brute-force oracle where the letter count allows it.  The emitted files are
-the deliverable; this script exists so the catalogue can be rebuilt after a
-format change.
+Every Hilbert derivation is built here, checked against its proof kernel,
+decided for soundness in its system's model classes, and written out with
+the manifest.  The sequent and deduction scripts are written by hand in the
+data tree; they are checked and pinned in place, never rewritten.  Every
+pinned formula is decided in all model classes and cross-checked against the
+brute-force oracle where the letter count allows it.  This script exists so
+the catalogue can be rebuilt after a format change.
 """
 
 from __future__ import annotations
@@ -17,24 +19,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from namecalc.core import Formula, conj, disj, imp, letters, neg, substitute
+from namecalc.corpus import check_script_text
 from namecalc.decide import Valid, decide, oracle_decide
-from namecalc.parser import (
-    format_formula,
-    format_proof_script,
-    parse_deduction_script,
-    parse_proof_script,
-    parse_sequent_script,
-)
-from namecalc.proof import check_proof, is_cpl_tautology
+from namecalc.parser import format_formula, format_proof_script
+from namecalc.proof import is_cpl_tautology
 from namecalc.proofscript import AxiomInstance, CplTautology, DefInstance, Detach, ProofLine, ProofScript
 from namecalc.proofscript import ProofJustification, Substitute
 from namecalc.semantics import ModelClass
-from namecalc.sequent import check_sequent_proof, check_smiley_deduction
 from namecalc.systems import SCHEMAS, a, e, eps, ex, i, ka, ke, kke, o, system
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "namecalc" / "data"
-
-CLASS_VALUES = [c.value for c in ModelClass]
 
 
 def require(holds: bool, message: str) -> None:
@@ -94,10 +88,9 @@ class Script:
 def finish(script: Script, path: str, expect: Formula) -> str:
     """Validate a finished script against the kernel and write it out."""
     text = script.text()
-    parsed = parse_proof_script(text)
-    report = check_proof(system(script.system_id, script.substitution_rule), parsed)
+    report, formula = check_script_text(path, text, script.system_id, script.substitution_rule)
     require(report.accepted, f"{path}: rejected at {report.failure_line}: {report.reason}")
-    require(parsed.conclusion == expect, f"{path}: wrong conclusion")
+    require(formula == expect, f"{path}: wrong conclusion")
     (DATA / path).write_text(text)
     return format_formula(expect)
 
@@ -405,9 +398,6 @@ def gen_square() -> None:
 
 def gen_shepherdson() -> None:
     sid = "SH"
-
-    def with_conv(build):
-        return build
 
     def i_ex(b):
         st = b.ax("SubjEx")
@@ -718,172 +708,32 @@ def gen_variants() -> None:
         )
 
 
-SEQUENT_FILES = {
-    "asi.seq": """\
-# subordination as a sequent, by cutting the reflexive-i axiom into Datisi
-1: ==> i(S,S) ; luk Ii
-2: a(S,P), i(S,S) ==> i(S,P) ; luk Datisi [M:=S]
-3: a(S,P) ==> i(S,P) ; cut 1 2
-""",
-    "ci.seq": """\
-# conversion as a sequent, by cutting the reflexive-a axiom into Datisi
-1: ==> a(P,P) ; luk Ia [S:=P]
-2: a(P,P), i(P,S) ==> i(S,P) ; luk Datisi [M:=P]
-3: i(P,S) ==> i(S,P) ; cut 1 2
-""",
-    "barbara-bridge.seq": """\
-1: a(M,P), a(S,M) ==> a(S,P) ; luk Barbara
-2: ==> a(M,P) & a(S,M) -> a(S,P) ; rule bridge-to-implication 1
-""",
-    "datisi-bridge.seq": """\
-1: a(M,P), i(M,S) ==> i(S,P) ; luk Datisi
-2: ==> a(M,P) & i(M,S) -> i(S,P) ; rule bridge-to-implication 1
-""",
-    "darii-bridge.seq": """\
-1: a(M,P), i(M,S) ==> i(S,P) ; luk Datisi
-2: ==> a(S,S) ; luk Ia
-3: a(S,S), i(S,M) ==> i(M,S) ; luk Datisi [M:=S,P:=S,S:=M]
-4: i(S,M) ==> i(M,S) ; cut 2 3
-5: a(M,P), i(S,M) ==> i(S,P) ; cut 4 1
-6: ==> a(M,P) & i(S,M) -> i(S,P) ; rule bridge-to-implication 5
-""",
-    "celarent-bridge.seq": """\
-1: a(S,M), i(S,P) ==> i(P,M) ; luk Datisi [M:=S,P:=M,S:=P]
-2: ==> a(P,P) ; luk Ia [S:=P]
-3: a(P,P), i(P,M) ==> i(M,P) ; luk Datisi [M:=P,P:=P,S:=M]
-4: i(P,M) ==> i(M,P) ; cut 2 3
-5: a(S,M), i(S,P) ==> i(M,P) ; cut 1 4
-6: a(S,M), ~i(M,P) ==> ~i(S,P) ; rule contraposition-1 5
-7: e(M,P) ==> ~i(M,P) ; luk dfE_lr [S:=M,P:=P]
-8: ~i(S,P) ==> e(S,P) ; luk dfE_rl
-9: a(S,M), e(M,P) ==> ~i(S,P) ; cut 7 6
-10: a(S,M), e(M,P) ==> e(S,P) ; cut 9 8
-11: ==> e(M,P) & a(S,M) -> e(S,P) ; rule bridge-to-implication 10
-""",
-    "barbari-bridge.seq": """\
-1: a(M,P), a(S,M) ==> a(S,P) ; luk Barbara
-2: ==> i(S,S) ; luk Ii
-3: a(S,P), i(S,S) ==> i(S,P) ; luk Datisi [M:=S]
-4: a(S,P) ==> i(S,P) ; cut 2 3
-5: a(M,P), a(S,M) ==> i(S,P) ; cut 1 4
-6: ==> a(M,P) & a(S,M) -> i(S,P) ; rule bridge-to-implication 5
-""",
-    "derived-rules.seq": """\
-# one use of every derived-rule macro; each expansion is re-checked
-1: a(S,P), i(S,S) ==> i(S,P) ; luk Datisi [M:=S]
-2: a(S,P) & i(S,S) ==> i(S,P) ; rule and-intro-left 1
-3: a(S,P), i(S,S) ==> i(S,P) ; rule and-intro-right 2
-4: ==> a(S,S) ; luk Ia
-5: ==> i(S,S) ; luk Ii
-6: ==> a(S,S) & i(S,S) ; rule and-combine 4 5
-7: i(S,S) ==> a(S,P) -> i(S,P) ; ded 1
-8: a(S,P), i(S,S) ==> i(S,P) ; rule imp-unpack 7
-9: ==> i(S,S) -> (a(S,P) -> i(S,P)) ; ded 7
-10: ==> a(S,P) -> i(S,P) ; rule imp-apply 9 5
-11: a(S,P), ~i(S,P) ==> ~i(S,S) ; rule contraposition-1 1
-12: e(S,P) ==> ~i(S,P) ; luk dfE_lr
-13: ~i(S,P) ==> e(S,P) ; luk dfE_rl
-14: i(S,P) ==> ~e(S,P) ; rule contraposition-4 12
-15: ~e(S,P) ==> i(S,P) ; rule contraposition-3 13
-16: a(S,P), i(S,S) ==> i(S,P) ; rule contraposition-2 11
-17: e(S,P) | e(S,P) ==> e(S,P) ; cpl
-18: e(S,P) ==> e(S,P) ; rule disjunction-left 17
-19: e(S,P) ==> e(S,P) ; rule disjunction-right 17
-20: ~i(S,P) ==> ~i(S,P) ; cpl
-21: e(S,P) | ~i(S,P) ==> ~i(S,P) ; rule disjunction-join 12 20
-22: ==> e(S,P) -> ~i(S,P) ; ded 12
-23: ==> ~i(S,P) -> e(S,P) ; ded 13
-24: ==> e(S,P) <-> ~i(S,P) ; rule biconditional-join 22 23
-25: e(S,P) ==> ~i(S,P) ; rule biconditional-split 24
-26: a(S,P) ==> i(S,P) ; rule bridge-to-sequent 10
-27: ==> a(S,P) & i(S,S) -> i(S,P) ; rule bridge-to-implication 1
-""",
-}
-
-DEDUCTION_FILES = {
-    "barbara.ded": """\
-# the plain two-premise chain through rule r1
-1: a(S,M) |- a(S,M) ; triv
-2: a(M,P) |- a(M,P) ; triv
-3: a(S,M), a(M,P) |- a(S,P) ; cut 1 2 r1
-""",
-    "darapti.ded": """\
-# conversion per accidens supplies the refuter for a reductio
-1: e(S,P) |- e(S,P) ; triv
-2: e(S,P) |- e(P,S) ; cut 1 r3
-3: a(M,P) |- a(M,P) ; triv
-4: a(M,P), e(S,P) |- e(M,S) ; cut 3 2 r2
-5: a(M,P), e(S,P) |- e(S,M) ; cut 4 r3
-6: a(M,S) |- a(M,S) ; triv
-7: a(M,S) |- i(S,M) ; cut 6 r4
-8: a(M,P), a(M,S) |- i(S,P) ; red 5 7
-""",
-    "baroco.ded": """\
-# reductio against the contradictory of the conclusion
-1: a(S,P) |- a(S,P) ; triv
-2: a(P,M) |- a(P,M) ; triv
-3: a(S,P), a(P,M) |- a(S,M) ; cut 1 2 r1
-4: o(S,M) |- o(S,M) ; triv
-5: a(P,M), o(S,M) |- o(S,P) ; red 3 4
-""",
-}
+def hand_written_entry(name, group, kind, paths, notes=""):
+    """Pin an entry on a hand-written script in the data tree, checked in
+    place and never rewritten: its formula is the one the first path proves."""
+    report, formula = check_script_text(paths[0], (DATA / paths[0]).read_text())
+    require(report.accepted, f"{paths[0]}: {report.failure_line} {report.reason}")
+    add_entry(name, group, kind, format_formula(formula), verdicts_for(formula),
+              [("LUK", path) for path in paths], notes=notes)
 
 
 def gen_sequent_and_deduction() -> None:
-    from namecalc.sequent import implication
-
-    for filename, text in SEQUENT_FILES.items():
-        path = f"sequents/{filename}"
-        report = check_sequent_proof(parse_sequent_script(text))
-        require(report.accepted, f"{path}: {report.failure_line} {report.reason}")
-        (DATA / path).write_text(text)
-    for filename, text in DEDUCTION_FILES.items():
-        path = f"deductions/{filename}"
-        report = check_smiley_deduction(parse_deduction_script(text))
-        require(report.accepted, f"{path}: {report.failure_line} {report.reason}")
-        (DATA / path).write_text(text)
-
-    def seq_formula(filename: str) -> str:
-        parsed = parse_sequent_script((DATA / f"sequents/{filename}").read_text())
-        last = parsed.lines[-1].sequent
-        return format_formula(implication(last.premises, last.conclusion))
-
-    def ded_formula(filename: str) -> str:
-        parsed = parse_deduction_script((DATA / f"deductions/{filename}").read_text())
-        last = parsed.lines[-1].claim
-        return format_formula(implication(last.premises, last.conclusion))
-
-    def pin(text: str) -> dict[str, str]:
-        from namecalc.parser import parse_formula
-
-        return verdicts_for(parse_formula(text))
-
-    asi_f = seq_formula("asi.seq")
-    add_entry("asi-seq", "sequent", "sequent", asi_f, pin(asi_f),
-              [("LUK", "sequents/asi.seq")],
-              notes="First cut example: the subordination sequent.")
-    ci_f = seq_formula("ci.seq")
-    add_entry("ci-seq", "sequent", "sequent", ci_f, pin(ci_f),
-              [("LUK", "sequents/ci.seq")],
-              notes="Second cut example: the conversion sequent.")
+    hand_written_entry("asi-seq", "sequent", "sequent", ["sequents/asi.seq"],
+                       notes="First cut example: the subordination sequent.")
+    hand_written_entry("ci-seq", "sequent", "sequent", ["sequents/ci.seq"],
+                       notes="Second cut example: the conversion sequent.")
     for mood in ("barbara", "datisi", "darii", "celarent", "barbari"):
-        f = seq_formula(f"{mood}-bridge.seq")
-        add_entry(f"{mood}-bridge", "sequent", "sequent", f, pin(f),
-                  [("LUK", f"sequents/{mood}-bridge.seq"), ("LUK", f"scripts/{mood}.proof")],
-                  notes="Bridge pair: the sequent derivation and the Hilbert derivation "
-                        "close on the same implication.")
-    f = seq_formula("derived-rules.seq")
-    add_entry("derived-rules", "sequent", "sequent", f, pin(f),
-              [("LUK", "sequents/derived-rules.seq")])
+        hand_written_entry(f"{mood}-bridge", "sequent", "sequent",
+                           [f"sequents/{mood}-bridge.seq", f"scripts/{mood}.proof"],
+                           notes="Bridge pair: the sequent derivation and the Hilbert derivation "
+                                 "close on the same implication.")
+    hand_written_entry("derived-rules", "sequent", "sequent", ["sequents/derived-rules.seq"])
     for name in ("barbara", "darapti", "baroco"):
-        f = ded_formula(f"{name}.ded")
-        add_entry(f"{name}-ded", "smiley", "deduction", f, pin(f),
-                  [("LUK", f"deductions/{name}.ded")])
+        hand_written_entry(f"{name}-ded", "smiley", "deduction", [f"deductions/{name}.ded"])
 
 
 def main() -> None:
-    for sub in ("scripts", "sequents", "deductions"):
-        (DATA / sub).mkdir(parents=True, exist_ok=True)
+    (DATA / "scripts").mkdir(parents=True, exist_ok=True)
     gen_moods()
     gen_square()
     gen_shepherdson()

@@ -3,8 +3,8 @@ class, plus machine-checked derivation scripts in the systems that prove them.
 
 Entries live in data/manifest.json; scripts live in the data tree in the
 script formats defined by the parser.  ``run_corpus`` re-derives every pinned
-verdict with the decision procedure and re-checks every script with the
-matching kernel, reporting mismatches.
+verdict with the decision procedure and re-checks every script through
+``check_script_text``, the one per-format check, reporting mismatches.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Optional
 from .core import letters
 from .decide import Valid, decide
 from .parser import (
+    ParseError,
     format_formula,
     parse_deduction_script,
     parse_formula,
@@ -107,33 +108,40 @@ def _check_verdicts(entry: CorpusEntry, report: CorpusReport) -> None:
                 report.mismatches.append(f"{entry.name}: countermodel fails to re-check")
 
 
+def check_script_text(path: str, text: str, system_id: str = "LUK", substitution_rule: bool = True):
+    """The kernel's report on a script, by its format, and the formula it
+    proves; None for an unknown format, ParseError if the text does not parse."""
+    if path.endswith(".proof"):
+        parsed = parse_proof_script(text)
+        return check_proof(system(system_id, substitution_rule), parsed), parsed.conclusion
+    if path.endswith(".seq"):
+        parsed = parse_sequent_script(text)
+        result, last = check_sequent_proof(parsed), parsed.lines[-1].sequent
+    elif path.endswith(".ded"):
+        parsed = parse_deduction_script(text)
+        result, last = check_smiley_deduction(parsed), parsed.lines[-1].claim
+    else:
+        return None
+    return result, implication(last.premises, last.conclusion)
+
+
 def _check_script(entry: CorpusEntry, script: CorpusScript, data_dir: Path, report: CorpusReport) -> None:
     text = (data_dir / script.path).read_text()
     report.script_checks += 1
-    if script.path.endswith(".proof"):
-        parsed = parse_proof_script(text)
-        result = check_proof(system(script.system, script.substitution_rule), parsed)
-        formula = parsed.conclusion
-    elif script.path.endswith(".seq"):
-        parsed = parse_sequent_script(text)
-        result = check_sequent_proof(parsed)
-        last = parsed.lines[-1].sequent
-        formula = implication(last.premises, last.conclusion)
-    elif script.path.endswith(".ded"):
-        parsed = parse_deduction_script(text)
-        result = check_smiley_deduction(parsed)
-        last = parsed.lines[-1].claim
-        formula = implication(last.premises, last.conclusion)
-    else:
+    try:
+        checked = check_script_text(script.path, text, script.system, script.substitution_rule)
+    except ParseError as error:
+        report.mismatches.append(f"{entry.name}: {script.path} does not parse: {error}")
+        return
+    if checked is None:
         report.mismatches.append(f"{entry.name}: unknown script format {script.path}")
         return
+    result, formula = checked
     if not result.accepted:
         report.mismatches.append(
             f"{entry.name}: {script.path} rejected at line {result.failure_line}: {result.reason}"
         )
-        return
-    conclusion = format_formula(formula)
-    if conclusion != entry.formula:
+    elif (conclusion := format_formula(formula)) != entry.formula:
         report.mismatches.append(
             f"{entry.name}: {script.path} concludes {conclusion!r}, entry pins {entry.formula!r}"
         )

@@ -54,16 +54,14 @@ class Countermodel:
 Verdict = Union[Valid, Countermodel]
 
 
-def realize(
-    vocab: Sequence[str], labels: Sequence[Card], cls: ModelClass, many_size: int = 2
-) -> Optional[Model]:
+def realize(vocab: Sequence[str], labels: Sequence[Card], cls: ModelClass) -> Optional[Model]:
     """A witness model from one label per region r, a bitmask over vocab
-    positions: Zero regions get 0 elements, One regions 1, Many regions
-    many_size, each inside exactly the denotations of r's letters; fresh
-    elements pad the universe to the class minimum.  None if not in cls."""
+    positions: Zero regions get 0 elements, One regions 1, Many regions 2,
+    each inside exactly the denotations of r's letters; fresh elements pad
+    the universe to the class minimum.  None if not in cls."""
     if len(labels) != 1 << len(vocab):
         raise ValueError("need one label per region")
-    weights = [0, 1, many_size]
+    weights = (0, 1, 2)
     universe: list[str] = []
     extents: list[set[str]] = [set() for _ in vocab]
     for region, label in enumerate(labels):

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 from .core import Atom, Functor
 from .parser import ParseError, decode_json, is_string_list
 from .proof import GuardExceeded
-from .semantics import Model, ModelClass, atom_true, evaluate, in_class
+from .semantics import SHAPE, Model, ModelClass, evaluate, in_class, shape_true
 
 
 @dataclass(frozen=True)
@@ -247,16 +247,15 @@ def represent(structure: RelationalStructure, kind: str) -> tuple[dict[str, froz
 def structure_from_model(model: Model, vocab: Iterable[str], with_eps: bool = True) -> RelationalStructure:
     """Harvest the letter-to-letter relations of a model as a structure."""
     carrier = tuple(sorted(set(vocab)))
-    a_rel, i_rel, eps_rel = set(), set(), set()
-    for x, y in itertools.product(carrier, repeat=2):
-        if atom_true(model, Atom(Functor.A, x, y)):
-            a_rel.add((x, y))
-        if atom_true(model, Atom(Functor.I, x, y)):
-            i_rel.add((x, y))
-        if with_eps and atom_true(model, Atom(Functor.EPS, x, y)):
-            eps_rel.add((x, y))
+    extents = [(x, model.of(x)) for x in carrier]
+    pairs = [((x, y), dx, dy) for (x, dx), (y, dy) in itertools.product(extents, repeat=2)]
+
+    def relation(functor: Functor) -> frozenset[tuple[str, str]]:
+        shape = SHAPE[functor]
+        return frozenset(pair for pair, dx, dy in pairs if shape_true(shape, dx, dy))
+
     return RelationalStructure(
-        carrier, frozenset(a_rel), frozenset(i_rel), frozenset(eps_rel) if with_eps else None
+        carrier, relation(Functor.A), relation(Functor.I), relation(Functor.EPS) if with_eps else None
     )
 
 

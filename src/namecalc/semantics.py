@@ -111,11 +111,13 @@ def admitted(cls: ModelClass, has, single, full):
     return full ^ single
 
 
-def atom_true(model: Model, atom: Atom) -> bool:
-    shape = SHAPE[atom.functor]
-    ds = model.of(atom.subject)
-    dp = model.of(atom.predicate or atom.subject)
+def shape_true(shape: Shape, ds: frozenset[str], dp: frozenset[str]) -> bool:
+    """Truth of a functor's atom whose subject denotes ds and predicate dp."""
     return holds(shape, not shape.zone(ds, dp), bool(ds), bool(dp), len(ds) == 1, True)
+
+
+def atom_true(model: Model, atom: Atom) -> bool:
+    return shape_true(SHAPE[atom.functor], model.of(atom.subject), model.of(atom.predicate or atom.subject))
 
 
 def evaluate(model: Model, formula: Formula) -> bool:

@@ -1,5 +1,7 @@
 import shutil
 
+import pytest
+
 from namecalc.corpus import DATA_DIR, GROUPS, corpus_entries, run_corpus
 from namecalc.decide import Countermodel, decide
 from namecalc.parser import format_formula, parse_formula
@@ -64,18 +66,35 @@ def test_group_selection_sizes_match_the_manifest():
         assert report.ok
 
 
-def test_corrupted_script_yields_exactly_one_mismatch(tmp_path):
+@pytest.mark.parametrize(
+    "old, new, complaint",
+    [("ax Datisi", "ax Barbara", "rejected at line"), (" ; mp 1 4", ") ; mp 1 4", "does not parse")],
+    ids=["rejected", "unparsable"],
+)
+def test_corrupted_script_yields_exactly_one_mismatch(tmp_path, old, new, complaint):
     clone = tmp_path / "data"
     shutil.copytree(DATA_DIR, clone)
     # ferio.proof is referenced by exactly one entry
     target = clone / "scripts/ferio.proof"
     original = target.read_text()
-    corrupted = original.replace("ax Datisi", "ax Barbara", 1)
+    corrupted = original.replace(old, new, 1)
     assert corrupted != original
     target.write_text(corrupted)
     report = run_corpus(data_dir=clone)
     assert len(report.mismatches) == 1
     assert "ferio" in report.mismatches[0]
+    assert complaint in report.mismatches[0]
+    assert report.entries_run == len(corpus_entries())
+
+
+def test_every_script_file_is_referenced_and_every_reference_exists():
+    files = {
+        path.relative_to(DATA_DIR).as_posix()
+        for folder in ("scripts", "sequents", "deductions")
+        for path in (DATA_DIR / folder).iterdir()
+    }
+    referenced = {script.path for entry in corpus_entries() for script in entry.scripts}
+    assert files == referenced
 
 
 def test_slupecki_gap_entries_are_pinned_valid_but_flagged():
