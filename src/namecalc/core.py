@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Any, Callable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 
 class Functor(Enum):
@@ -153,30 +153,33 @@ Substitution = Mapping[str, str]
 
 def letters(formula: Formula) -> frozenset[str]:
     """The set of name letters occurring in a formula."""
+    return atom_letters(distinct_atoms(formula))
+
+
+def atom_letters(atoms: Iterable[Atom]) -> frozenset[str]:
+    """The set of name letters the given atoms apply to."""
     found: set[str] = set()
-    for atom in atoms(formula):
+    for atom in atoms:
         found.add(atom.subject)
         if atom.predicate is not None:
             found.add(atom.predicate)
     return frozenset(found)
 
 
-def atoms(formula: Formula) -> Iterator[Atom]:
-    """All atom occurrences, left to right."""
-    if isinstance(formula, Atom):
-        yield formula
-    elif isinstance(formula, Neg):
-        yield from atoms(formula.operand)
-    else:
-        yield from atoms(formula.left)
-        yield from atoms(formula.right)
-
-
 def distinct_atoms(formula: Formula) -> list[Atom]:
-    """Distinct atoms in order of first occurrence."""
+    """Distinct atoms in order of first occurrence, left to right.  One walk
+    with an explicit stack, so a long flat chain does not recurse."""
     seen: dict[Atom, None] = {}
-    for atom in atoms(formula):
-        seen.setdefault(atom)
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            seen[node] = None
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
     return list(seen)
 
 

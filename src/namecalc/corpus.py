@@ -53,11 +53,15 @@ class CorpusEntry:
     notes: str = ""
 
 
-def corpus_entries(data_dir: Optional[Path] = None) -> list[CorpusEntry]:
+def corpus_entries(data_dir: Optional[Path] = None, selection: Optional[str] = None) -> list[CorpusEntry]:
+    """The manifest's entries in order; a selection keeps one group's, and
+    only those are built."""
     data_dir = data_dir or DATA_DIR
     payload = json.loads((data_dir / "manifest.json").read_text())
     entries = []
     for item in payload["entries"]:
+        if selection is not None and item["group"] != selection:
+            continue
         entries.append(
             CorpusEntry(
                 name=item["name"],
@@ -126,8 +130,12 @@ def check_script_text(path: str, text: str, system_id: str = "LUK", substitution
 
 
 def _check_script(entry: CorpusEntry, script: CorpusScript, data_dir: Path, report: CorpusReport) -> None:
-    text = (data_dir / script.path).read_text()
     report.script_checks += 1
+    try:
+        text = (data_dir / script.path).read_text()
+    except OSError as error:
+        report.mismatches.append(f"{entry.name}: {script.path} cannot be read: {error.strerror}")
+        return
     try:
         checked = check_script_text(script.path, text, script.system, script.substitution_rule)
     except ParseError as error:
@@ -152,9 +160,7 @@ def run_corpus(selection: Optional[str] = None, data_dir: Optional[Path] = None)
     restricts the run to one group."""
     data_dir = data_dir or DATA_DIR
     report = CorpusReport()
-    for entry in corpus_entries(data_dir):
-        if selection is not None and entry.group != selection:
-            continue
+    for entry in corpus_entries(data_dir, selection):
         report.entries_run += 1
         _check_verdicts(entry, report)
         for script in entry.scripts:

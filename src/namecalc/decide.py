@@ -7,9 +7,11 @@ those labels.  ``decide`` evaluates truth tables of labelings: a set of
 labelings is a Python int, bit i for the i-th labeling in lexicographic order
 (region 0 slowest), and the bitwise fold ``core.truth`` evaluates a whole
 table at once; atoms read ``semantics.SHAPE`` over the regions of their
-zone (``_zone``), the class filter ``semantics.admitted``.  The first
-falsifying labeling in that order, realized, is the countermodel.  Formulas
-take up to LETTER_LIMIT letters with either alphabet (2^16 or 3^16
+zone (``_zone``), the class filter ``semantics.admitted``.  A call walks its
+formula once, for its distinct atoms, and the table layout depends only on
+the letter count and the alphabet, so one is kept per pair (``_plan``).
+The first falsifying labeling in that order, realized, is the countermodel.
+Formulas take up to LETTER_LIMIT letters with either alphabet (2^16 or 3^16
 labelings); a valid 5-letter two-label formula would run through 2^32, so it
 is refused up front.  An independent brute-force oracle enumerates raw
 denotation assignments over a fixed universe, in tables, and reads the same
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .core import Atom, Formula, Functor, digit_columns, distinct_atoms, letters, truth
+from .core import Atom, Formula, Functor, atom_letters, digit_columns, distinct_atoms, truth
 from .semantics import (
     _UNIVERSE_MINIMUM, SHAPE, Model, ModelClass, SINGLE, admitted, evaluate, holds, in_class, outside,
 )
@@ -78,7 +80,12 @@ def realize(vocab: Sequence[str], labels: Sequence[Card], cls: ModelClass) -> Op
 
 
 def needs_three_labels(formula: Formula) -> bool:
-    return any(SHAPE[atom.functor].need is SINGLE for atom in distinct_atoms(formula))
+    return _singular(distinct_atoms(formula))
+
+
+def _singular(atoms: Iterable[Atom]) -> bool:
+    """Whether some atom is of the singular-copula family, which tells One from Many."""
+    return any(SHAPE[atom.functor].need is SINGLE for atom in atoms)
 
 
 class CapExceeded(ValueError):
@@ -88,25 +95,16 @@ class CapExceeded(ValueError):
 def decide(formula: Formula, cls: ModelClass) -> Verdict:
     """Valid, or the first countermodel in the lexicographic labeling order:
     the first class-admissible labeling that falsifies the formula, realized."""
-    vocab = tuple(sorted(letters(formula)))
+    atoms = distinct_atoms(formula)
+    vocab = tuple(sorted(atom_letters(atoms)))
     if len(vocab) > LETTER_LIMIT:
         raise CapExceeded(f"{len(vocab)} letters exceed the cap ({LETTER_LIMIT})")
-    three = needs_three_labels(formula)
-    alphabet = (Card.ZERO, Card.ONE, Card.MANY) if three else (Card.ZERO, Card.MANY)
+    alphabet, spanned, full, spanned_nonempty, spanned_one = _plan(len(vocab), _singular(atoms), TABLE_ROWS)
     base = len(alphabet)
-    regions = 1 << len(vocab)
-    spanned = max((t for t in range(1, regions + 1) if base**t <= TABLE_ROWS), default=1)
-    full = (1 << base**spanned) - 1
-    # A table spans the last regions, its rows' digits from the most
-    # significant down, each the index of a label in the alphabet.  The first
-    # regions' labels are fixed per table, taken in lexicographic order too.
-    columns = digit_columns(base, spanned)[::-1]
-    spanned_nonempty = [reduce(or_, column) for column in columns]
-    spanned_one = [column[0] if three else 0 for column in columns]
-    for head in itertools.product(alphabet, repeat=regions - spanned):
-        nonempty = [full if label else 0 for label in head] + spanned_nonempty
-        one = [full if label is Card.ONE else 0 for label in head] + spanned_one
-        failing = _failing_rows(formula, cls, vocab, nonempty, one, full)
+    for head in itertools.product(alphabet, repeat=(1 << len(vocab)) - spanned):
+        nonempty = [*(full if label else 0 for label in head), *spanned_nonempty]
+        one = [*(full if label is Card.ONE else 0 for label in head), *spanned_one]
+        failing = _failing_rows(formula, atoms, cls, vocab, nonempty, one, full)
         if failing:
             row = (failing & -failing).bit_length() - 1
             digits = (row // base**d % base for d in reversed(range(spanned)))
@@ -117,10 +115,29 @@ def decide(formula: Formula, cls: ModelClass) -> Verdict:
     return Valid()
 
 
-def _failing_rows(formula: Formula, cls: ModelClass, vocab: tuple[str, ...],
+@lru_cache(maxsize=None)
+def _plan(count: int, three: bool,
+          table_rows: int) -> tuple[tuple[Card, ...], int, int, tuple[int, ...], tuple[int, ...]]:
+    """The table layout for `count` letters: the alphabet, how many of the
+    last regions a table spans (at most `table_rows` rows), the set of all
+    rows, and per spanned region the rows where its label is nonempty and
+    where it is One.  A table's rows take their digits from the most
+    significant down, each the index of a label in the alphabet; the first
+    regions' labels are fixed per table, taken in lexicographic order too."""
+    alphabet = (Card.ZERO, Card.ONE, Card.MANY) if three else (Card.ZERO, Card.MANY)
+    base = len(alphabet)
+    spanned = max((t for t in range(1, (1 << count) + 1) if base**t <= table_rows), default=1)
+    columns = digit_columns(base, spanned)[::-1]
+    nonempty = tuple(reduce(or_, column) for column in columns)
+    one = tuple(column[0] if three else 0 for column in columns)
+    return alphabet, spanned, (1 << base**spanned) - 1, nonempty, one
+
+
+def _failing_rows(formula: Formula, atoms: list[Atom], cls: ModelClass, vocab: tuple[str, ...],
                   nonempty: list[int], one: list[int], full: int) -> int:
     """The rows of one table that are in the class and falsify the formula,
-    from the rows where each region's label is nonempty and where it is One."""
+    from the rows where each region's label is nonempty and where it is One;
+    `atoms` are the formula's distinct atoms."""
     regions = len(nonempty)
     has, single, admissible = [], [], full
     for j in range(len(vocab)):
@@ -141,7 +158,7 @@ def _failing_rows(formula: Formula, cls: ModelClass, vocab: tuple[str, ...],
         empty = full ^ reduce(or_, (nonempty[r] for r in _zone(atom.functor, s, p, regions)), 0)
         return holds(SHAPE[atom.functor], empty, has[s], has[p], single[s], full)
 
-    values = {atom: rows(atom) for atom in distinct_atoms(formula)}
+    values = {atom: rows(atom) for atom in atoms}
     return admissible & (full ^ truth(formula, values.__getitem__, full))
 
 
@@ -208,7 +225,8 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     Enumeration is lexicographic over the letter tuple (first letter varies
     slowest) with denotations ordered as little-endian element bitmasks.
     """
-    vocab = tuple(sorted(letters(formula)))
+    atoms = distinct_atoms(formula)
+    vocab = tuple(sorted(atom_letters(atoms)))
     if len(vocab) > ORACLE_MAX_LETTERS:
         raise CapExceeded(f"oracle is limited to {ORACLE_MAX_LETTERS} letters")
     if not 0 <= max_universe <= ORACLE_MAX_UNIVERSE:
@@ -235,7 +253,7 @@ def oracle_decide(formula: Formula, cls: ModelClass, max_universe: int) -> Verdi
     head_bits = (1 << digits - spanned) - 1
     index = {v: j for j, v in enumerate(vocab)}
     # Each distinct atom's position, in order of first occurrence.
-    position = {atom: k for k, atom in enumerate(distinct_atoms(formula))}
+    position = {atom: k for k, atom in enumerate(atoms)}
     values = [0] * len(position)
 
     def leaf(atom: Atom) -> int:

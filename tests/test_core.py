@@ -13,7 +13,9 @@ from namecalc.core import (
     Functor,
     Neg,
     compose,
+    conj,
     digit_columns,
+    distinct_atoms,
     letters,
     match_atoms,
     match_schema,
@@ -47,6 +49,30 @@ def test_substitute_composes(formula, first, second):
 def test_letters_image(formula, subst):
     expected = frozenset(subst.get(x, x) for x in letters(formula))
     assert letters(substitute(formula, subst)) == expected
+
+
+def _occurrences(formula):
+    """Atom occurrences left to right, by recursion: the reference for distinct_atoms."""
+    if isinstance(formula, Atom):
+        return [formula]
+    if isinstance(formula, Neg):
+        return _occurrences(formula.operand)
+    return _occurrences(formula.left) + _occurrences(formula.right)
+
+
+@given(formulas_st())
+def test_distinct_atoms_keep_the_first_occurrence_order(formula):
+    occurrences = _occurrences(formula)
+    assert distinct_atoms(formula) == list(dict.fromkeys(occurrences))
+    assert letters(formula) == {x for atom in occurrences for x in (atom.subject, atom.predicate) if x}
+
+
+def test_flat_chains_are_walked_without_recursion():
+    # 5000 conjuncts over 700 distinct atoms: the left-deep tree is 4999 deep.
+    parts = [Atom(Functor.A, f"S{k % 700}", f"P{k % 350}") for k in range(5000)]
+    chain = conj(*parts)
+    assert distinct_atoms(chain) == parts[:700]
+    assert letters(chain) == {f"S{k}" for k in range(700)} | {f"P{k}" for k in range(350)}
 
 
 def test_match_barbara_renaming():
@@ -108,12 +134,10 @@ def test_joint_match_needs_agreement_across_pairs():
 
 
 def test_schema_sets_are_closed_over_the_functor_table():
-    from namecalc.core import atoms
-
     functors = set(Functor)
     for spec in SYSTEMS.values():
         for schema in spec.axioms + spec.definitions + spec.extension_definitions:
-            for atom in atoms(schema.pattern):
+            for atom in distinct_atoms(schema.pattern):
                 assert atom.functor in functors
             assert letters(schema.pattern) <= {"S", "P", "M", "Q"}
 

@@ -68,23 +68,28 @@ def test_group_selection_sizes_match_the_manifest():
 
 @pytest.mark.parametrize(
     "old, new, complaint",
-    [("ax Datisi", "ax Barbara", "rejected at line"), (" ; mp 1 4", ") ; mp 1 4", "does not parse")],
-    ids=["rejected", "unparsable"],
+    [("ax Datisi", "ax Barbara", "rejected at line"), (" ; mp 1 4", ") ; mp 1 4", "does not parse"),
+     (None, None, "scripts/ferio.proof cannot be read: No such file or directory")],
+    ids=["rejected", "unparsable", "missing"],
 )
 def test_corrupted_script_yields_exactly_one_mismatch(tmp_path, old, new, complaint):
     clone = tmp_path / "data"
     shutil.copytree(DATA_DIR, clone)
     # ferio.proof is referenced by exactly one entry
     target = clone / "scripts/ferio.proof"
-    original = target.read_text()
-    corrupted = original.replace(old, new, 1)
-    assert corrupted != original
-    target.write_text(corrupted)
+    if old is None:
+        target.unlink()
+    else:
+        original = target.read_text()
+        corrupted = original.replace(old, new, 1)
+        assert corrupted != original
+        target.write_text(corrupted)
     report = run_corpus(data_dir=clone)
     assert len(report.mismatches) == 1
     assert "ferio" in report.mismatches[0]
     assert complaint in report.mismatches[0]
     assert report.entries_run == len(corpus_entries())
+    assert report.script_checks == run_corpus().script_checks
 
 
 def test_every_script_file_is_referenced_and_every_reference_exists():

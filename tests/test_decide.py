@@ -277,6 +277,26 @@ def test_decide_matches_the_reference_on_four_letters(table_rows):
         assert _output(decide(chain, ModelClass.ALL)) == _reference_output(chain, ModelClass.ALL)
 
 
+def test_table_layout_follows_table_rows(monkeypatch):
+    # Valid, so every table is read.  At the default size the 2^8 labelings
+    # fit one table; at 1 << 4 they take 16, which a layout cached without
+    # the table size would not split.
+    formula = parse_formula("a(M,P) & a(S,M) -> a(S,P)")
+    calls = Counter()
+    failing_rows = decide_module._failing_rows
+
+    def counting(*args):
+        calls[decide_module.TABLE_ROWS] += 1
+        return failing_rows(*args)
+
+    monkeypatch.setattr(decide_module, "_failing_rows", counting)
+    for table_rows in TABLE_SIZES:
+        monkeypatch.setattr(decide_module, "TABLE_ROWS", table_rows)
+        for cls in ModelClass:
+            assert _output(decide(formula, cls)) == _reference_output(formula, cls), (table_rows, cls)
+    assert calls == {TABLE_SIZES[0]: len(ModelClass), TABLE_SIZES[1]: 16 * len(ModelClass)}
+
+
 def _every_atom_and_negation():
     """Each binary functor on (S,P), (P,S) and (S,S), and ex(S), each plain and
     negated: every row of the functor table in every letter pattern."""
