@@ -10,6 +10,14 @@ table at once; atoms read ``semantics.SHAPE`` over the regions of their
 zone (``_zone``), the class filter ``semantics.admitted``.  A call walks its
 formula once, for its distinct atoms, and the table layout depends only on
 the letter count and the alphabet, so one is kept per pair (``_plan``).
+At the default TABLE_ROWS every layout but four three-label letters fits
+one table, whose letter, class and atom rows depend on the layout alone:
+they are kept with it (``_kept_letters``, ``_kept_class``, ``_kept_atom``),
+atom rows by functor and letter positions, so a one-table call looks its
+atoms' rows up and folds once.  Per layout that is 2k letter rows, 4 class
+rows and at most 14k^2 atom rows, about 1.8 MB for four two-label letters
+(2^16-bit rows, 8 KB each), however many formulas are decided.  A layout of
+several tables builds its rows per table, from its head labels.
 The first falsifying labeling in that order, realized, is the countermodel.
 Formulas take up to LETTER_LIMIT letters with either alphabet (2^16 or 3^16
 labelings); a valid 5-letter two-label formula would run through 2^32, so it
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Atom, Formula, Functor, atom_letters, digit_columns, distinct_atoms, truth
 from .semantics import (
@@ -99,12 +107,19 @@ def decide(formula: Formula, cls: ModelClass) -> Verdict:
     vocab = tuple(sorted(atom_letters(atoms)))
     if len(vocab) > LETTER_LIMIT:
         raise CapExceeded(f"{len(vocab)} letters exceed the cap ({LETTER_LIMIT})")
-    alphabet, spanned, full, spanned_nonempty, spanned_one = _plan(len(vocab), _singular(atoms), TABLE_ROWS)
+    layout = (len(vocab), _singular(atoms), TABLE_ROWS)
+    alphabet, spanned, full, _, _ = _plan(*layout)
+    index = {v: j for j, v in enumerate(vocab)}
+    # Each atom by its functor and letter positions; ex(S) reads only S, so S
+    # stands in for the predicate it lacks.
+    keys = {atom: (atom.functor, index[atom.subject], index[atom.predicate or atom.subject]) for atom in atoms}
+    if spanned < 1 << len(vocab):
+        tables = _tables(layout, cls, keys)
+    else:  # one table, whose rows depend on the layout alone
+        tables = [((), _kept_class(*layout, cls), {atom: _kept_atom(*layout, *key) for atom, key in keys.items()})]
     base = len(alphabet)
-    for head in itertools.product(alphabet, repeat=(1 << len(vocab)) - spanned):
-        nonempty = [*(full if label else 0 for label in head), *spanned_nonempty]
-        one = [*(full if label is Card.ONE else 0 for label in head), *spanned_one]
-        failing = _failing_rows(formula, atoms, cls, vocab, nonempty, one, full)
+    for head, admissible, values in tables:
+        failing = admissible & (full ^ truth(formula, values.__getitem__, full))
         if failing:
             row = (failing & -failing).bit_length() - 1
             digits = (row // base**d % base for d in reversed(range(spanned)))
@@ -133,14 +148,47 @@ def _plan(count: int, three: bool,
     return alphabet, spanned, (1 << base**spanned) - 1, nonempty, one
 
 
-def _failing_rows(formula: Formula, atoms: list[Atom], cls: ModelClass, vocab: tuple[str, ...],
-                  nonempty: list[int], one: list[int], full: int) -> int:
-    """The rows of one table that are in the class and falsify the formula,
-    from the rows where each region's label is nonempty and where it is One;
-    `atoms` are the formula's distinct atoms."""
+@lru_cache(maxsize=None)
+def _kept_letters(count: int, three: bool, table_rows: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A one-table layout's has and single rows per letter position."""
+    _, _, _, nonempty, one = _plan(count, three, table_rows)
+    return _letter_rows(nonempty, one)
+
+
+@lru_cache(maxsize=None)
+def _kept_class(count: int, three: bool, table_rows: int, cls: ModelClass) -> int:
+    """A one-table layout's rows admitted in the class."""
+    full = _plan(count, three, table_rows)[2]
+    return _class_rows(cls, *_kept_letters(count, three, table_rows), full)
+
+
+@lru_cache(maxsize=None)
+def _kept_atom(count: int, three: bool, table_rows: int, f: Functor, s: int, p: int) -> int:
+    """A one-table layout's rows where the atom f(s, p) holds, by letter positions."""
+    _, _, full, nonempty, _ = _plan(count, three, table_rows)
+    return _atom_rows(f, s, p, nonempty, *_kept_letters(count, three, table_rows), full)
+
+
+def _tables(layout: tuple[int, bool, int], cls: ModelClass,
+            keys: dict[Atom, tuple[Functor, int, int]]) -> Iterator[tuple[tuple[Card, ...], int, dict[Atom, int]]]:
+    """Per table of a layout that spans several, in order: its head labels,
+    the rows admitted in the class and each atom's rows, from the rows where
+    each region's label is nonempty and where it is One."""
+    alphabet, spanned, full, spanned_nonempty, spanned_one = _plan(*layout)
+    for head in itertools.product(alphabet, repeat=(1 << layout[0]) - spanned):
+        nonempty = [*(full if label else 0 for label in head), *spanned_nonempty]
+        one = [*(full if label is Card.ONE else 0 for label in head), *spanned_one]
+        has, single = _letter_rows(nonempty, one)
+        yield head, _class_rows(cls, has, single, full), \
+            {atom: _atom_rows(*key, nonempty, has, single, full) for atom, key in keys.items()}
+
+
+def _letter_rows(nonempty: Sequence[int], one: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per letter position, the rows where some region of the letter is
+    nonempty, and where exactly one is and it is One."""
     regions = len(nonempty)
-    has, single, admissible = [], [], full
-    for j in range(len(vocab)):
+    has, single = [], []
+    for j in range(regions.bit_length() - 1):
         # seen: some region of letter j is nonempty; two: at least two are.
         seen = two = ones = 0
         for r in range(regions):
@@ -149,17 +197,20 @@ def _failing_rows(formula: Formula, atoms: list[Atom], cls: ModelClass, vocab: t
                 seen |= nonempty[r]
                 ones |= one[r]
         has.append(seen)
-        single.append(outside(ones, two))  # exactly one nonempty region, and it is One
-        admissible &= admitted(cls, seen, single[j], full)
-    index = {v: j for j, v in enumerate(vocab)}
+        single.append(outside(ones, two))
+    return tuple(has), tuple(single)
 
-    def rows(atom: Atom) -> int:
-        s, p = index[atom.subject], index[atom.predicate or atom.subject]
-        empty = full ^ reduce(or_, (nonempty[r] for r in _zone(atom.functor, s, p, regions)), 0)
-        return holds(SHAPE[atom.functor], empty, has[s], has[p], single[s], full)
 
-    values = {atom: rows(atom) for atom in atoms}
-    return admissible & (full ^ truth(formula, values.__getitem__, full))
+def _class_rows(cls: ModelClass, has: Sequence[int], single: Sequence[int], full: int) -> int:
+    """The rows where every letter's denotation is allowed in the class."""
+    return reduce(and_, (admitted(cls, rows, one, full) for rows, one in zip(has, single)), full)
+
+
+def _atom_rows(f: Functor, s: int, p: int, nonempty: Sequence[int], has: Sequence[int],
+               single: Sequence[int], full: int) -> int:
+    """The rows where the atom f(s, p) holds, by letter positions."""
+    empty = full ^ reduce(or_, (nonempty[r] for r in _zone(f, s, p, len(nonempty))), 0)
+    return holds(SHAPE[f], empty, has[s], has[p], single[s], full)
 
 
 @lru_cache(maxsize=None)

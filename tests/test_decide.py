@@ -279,22 +279,88 @@ def test_decide_matches_the_reference_on_four_letters(table_rows):
 
 def test_table_layout_follows_table_rows(monkeypatch):
     # Valid, so every table is read.  At the default size the 2^8 labelings
-    # fit one table; at 1 << 4 they take 16, which a layout cached without
-    # the table size would not split.
+    # fit one table, whose kept rows the call reads; at 1 << 4 they take 16,
+    # which a layout or rows kept without the table size would not split.
     formula = parse_formula("a(M,P) & a(S,M) -> a(S,P)")
-    calls = Counter()
-    failing_rows = decide_module._failing_rows
+    tables, kept = Counter(), Counter()
+    build_tables, kept_atom = decide_module._tables, decide_module._kept_atom
 
-    def counting(*args):
-        calls[decide_module.TABLE_ROWS] += 1
-        return failing_rows(*args)
+    def counting_tables(*args):
+        for table in build_tables(*args):
+            tables[decide_module.TABLE_ROWS] += 1
+            yield table
 
-    monkeypatch.setattr(decide_module, "_failing_rows", counting)
+    def counting_kept_atom(count, three, table_rows, *key):
+        kept[table_rows] += 1
+        return kept_atom(count, three, table_rows, *key)
+
+    monkeypatch.setattr(decide_module, "_tables", counting_tables)
+    monkeypatch.setattr(decide_module, "_kept_atom", counting_kept_atom)
     for table_rows in TABLE_SIZES:
         monkeypatch.setattr(decide_module, "TABLE_ROWS", table_rows)
         for cls in ModelClass:
             assert _output(decide(formula, cls)) == _reference_output(formula, cls), (table_rows, cls)
-    assert calls == {TABLE_SIZES[0]: len(ModelClass), TABLE_SIZES[1]: 16 * len(ModelClass)}
+    assert tables == {TABLE_SIZES[1]: 16 * len(ModelClass)}
+    assert kept == {TABLE_SIZES[0]: 3 * len(ModelClass)}  # three distinct atoms
+
+
+def _kept_sizes():
+    return [cache.cache_info().currsize for cache in (
+        decide_module._plan, decide_module._kept_letters, decide_module._kept_class, decide_module._kept_atom)]
+
+
+def _positioned_atoms(vocab, three):
+    """Each functor of the alphabet at each ordered pair of the letters, ex at
+    each letter, plain and negated, each in a formula over all the letters:
+    every atom row of the one-table layout."""
+    # Each letter a singleton (or nonempty): false at the first labelings, so
+    # the first countermodel is where the atom is false.
+    rest = conj(*(Atom(Functor.EPS, v, v) if three else Atom(Functor.EX, v) for v in vocab))
+    atoms = [Atom(f, *pair) for f in Functor if three or not needs_three_labels(Atom(f, *vocab[:f.arity]))
+             for pair in itertools.product(vocab, repeat=f.arity)]
+    return [Bin("|", body, rest) for atom in atoms for body in (atom, Neg(atom))]
+
+
+def test_kept_rows_match_the_reference_and_are_bounded_by_layouts():
+    # Every kept row of three letters in both alphabets against the
+    # reference, and of four two-label letters on a seeded sample: the
+    # reference takes about 0.2 s a call there, as it runs through up to 2^16
+    # labelings, one at a time.
+    rng = random.Random(20261020)
+    four = _positioned_atoms(("M", "P", "Q", "S"), False)
+    sample = rng.sample(four, 2)
+    for formula in [*_positioned_atoms(("M", "P", "S"), False), *_positioned_atoms(("M", "P", "S"), True), *four]:
+        for cls in ModelClass:
+            output = _output(decide(formula, cls))
+            if len(letters(formula)) == 3 or formula in sample:
+                assert output == _reference_output(formula, cls), (formula, cls)
+    # Kept rows are keyed by letter positions, never by the formula: new
+    # formulas over other letters in the same layouts add none.
+    sizes = _kept_sizes()
+    checked = 0
+    while checked < 300:
+        pool = rng.sample("ABCDEFGHJKLMNPQRSTUVWXYZ", rng.choice((3, 4)))
+        formula = _random_formula(rng, pool, 3)
+        if len(letters(formula)) != len(pool) or len(pool) == 4 and needs_three_labels(formula):
+            continue
+        for cls in ModelClass:
+            decide(formula, cls)
+        checked += 1
+    assert _kept_sizes() == sizes
+
+
+def test_corpus_outputs_do_not_depend_on_the_table_size():
+    # Up to three letters the default size takes one table, read from kept
+    # rows, and 1 << 4 splits the labelings into many, each built per table.
+    formulas = [parse_formula(entry.formula) for entry in corpus_entries()]
+    formulas = [formula for formula in formulas if len(letters(formula)) <= 3]
+    outputs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for table_rows in TABLE_SIZES:
+            patch.setattr(decide_module, "TABLE_ROWS", table_rows)
+            outputs[table_rows] = [_output(decide(formula, cls)) for formula in formulas for cls in ModelClass]
+    assert outputs[TABLE_SIZES[0]] == outputs[TABLE_SIZES[1]]
+    assert len(outputs[TABLE_SIZES[0]]) == len(formulas) * len(ModelClass) > 300
 
 
 def _every_atom_and_negation():
