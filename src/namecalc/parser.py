@@ -18,12 +18,24 @@ justification tag to its class and its field kinds, each kind a (read, write)
 pair, and one parse loop and one formatter serve every format.
 
 Tokens are plain strings from one ``findall`` per text, and a token's kind
-follows from its text.  A script line is one text: its body and its
-justification read their parts of the line's one token list, cut at its last
-``;``.  Formulas are read by precedence climbing, one ``unary`` call per
-operand, and an atom's tokens are checked by position in one step.  Source
-spans are computed only on the error path, by scanning the text again when a
-``ParseError`` is raised.
+follows from its text: a symbol, a digit run, an ASCII word, or a whole atom.
+A script line is one text: its body and its justification read their parts of
+the line's one token list, cut at its last ``;``.  Formulas are read by
+precedence climbing, one ``unary`` call per operand.
+
+Two patterns tokenize.  ``_FINE`` reads an atom as 4 or 6 tokens, which
+``unary`` checks by position in one step, whatever the spacing.  ``_TOKEN`` is
+``_FINE`` with one more alternative, which reads an atom written without
+inner spaces, such as ``a(S,P)``, as one token; ``unary`` looks it up in
+``_ATOM_TEXT``, text to atom, and only ``unary`` accepts it.  Every text is
+read with ``_TOKEN`` first; when that read raises a ``ParseError``, the text is
+read again with ``_FINE``, and that read gives the result or the error, so
+every message and span is the token-by-token one (the ``_Parser`` docstring
+says why the answers agree).  ``_ATOM_TEXT`` is bounded by interning: its keys
+are canonical texts (``format_formula(value) == key``), one per atom of
+``core._ATOMS``, which already lives for the process.  Nothing else outlives a
+call.  Source spans are computed only on the error path, by scanning the text
+again with ``_FINE``.
 """
 
 from __future__ import annotations
@@ -80,23 +92,32 @@ class ParseError(Exception):
 
 # One alternative per token kind, longer symbols first; ``\S`` catches any
 # other character, and whitespace matches nothing, so ``findall`` skips it.
-_TOKEN = re.compile(r"<->|==>|:=|->|\|-|[(),~&|:;\[\]-]|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S")
+_SYMBOL_RULES = r"<->|==>|:=|->|\|-|[(),~&|:;\[\]-]"
+_WORD_RULES = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S"
+_FINE = re.compile(f"{_SYMBOL_RULES}|{_WORD_RULES}")
+# ``_FINE`` with one more alternative after the symbols: a lowercase name
+# directly before one or two parenthesised letters, with no space inside,
+# which is the concatenation of the 4 or 6 tokens ``_FINE`` reads there.
+# Letters are spelled out rather than ``\w``, which is Unicode in ``re``.
+_LETTER = r"[A-Z][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"{_SYMBOL_RULES}|[a-z]+\({_LETTER}(?:,{_LETTER})?\)|{_WORD_RULES}")
 _SYMBOLS = frozenset(("<->", "==>", ":=", "->", "|-", *"(),~&|:;[]-"))
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 def _span(text: str, offset: int, index: int) -> SourceSpan:
-    """The source span of token ``index`` of ``text``, the end's at the end of the text."""
-    matches = list(_TOKEN.finditer(text))
+    """The source span of token ``index`` of ``text`` as ``_FINE`` reads it,
+    the end's at the end of the text."""
+    matches = list(_FINE.finditer(text))
     start, end = matches[index].span() if index < len(matches) else (len(text),) * 2
     return SourceSpan(start + offset, end + offset)
 
 
-def _tokenize(text: str, offset: int) -> list[str]:
-    """The tokens of ``text`` and the end marker ``""``: one ``findall`` and one
-    pass over the distinct tokens, which raises at the first character that no
-    token kind accepts."""
-    tokens = _TOKEN.findall(text)
+def _tokenize(text: str, offset: int, pattern: re.Pattern) -> list[str]:
+    """The tokens of ``text`` by ``pattern`` (``_TOKEN`` or ``_FINE``) and the
+    end marker ``""``: one ``findall`` and one pass over the distinct tokens,
+    which raises at the first character that no token kind accepts."""
+    tokens = pattern.findall(text)
     foreign = [t for t in set(tokens).difference(_SYMBOLS) if t[0] not in _WORD_START]
     if foreign:
         first = min(map(tokens.index, foreign))
@@ -111,12 +132,34 @@ class _Parser:
     its body and justification read their parts of that one list
     (``_split_line``).
 
-    Every token accepted here is a symbol, a digit run or an ASCII word, so
-    ``str.isidentifier`` is true exactly for names, ``str.isdigit`` exactly
-    for line numbers, and a token (or the end marker) is a name letter, as
-    ``core.is_letter`` defines it, exactly when its first character is in
-    ``core.LETTER_START``.  No span is kept: ``span`` finds a token's again
-    from the text when an error is raised."""
+    Every token accepted here is a symbol, a digit run, an ASCII word or,
+    from ``_TOKEN`` only, a whole atom written without spaces, such as
+    ``a(S,P)``.  So ``str.isidentifier`` is true exactly for names,
+    ``str.isdigit`` exactly for line numbers, and a token (or the end marker)
+    is a name letter, as ``core.is_letter`` defines it, exactly when its first
+    character is in ``core.LETTER_START``.  No span is kept: ``span`` finds a
+    token's again from the text, as ``_FINE`` reads it, when an error is
+    raised.
+
+    Every text is read with ``_TOKEN`` first and, when that read raises a
+    ``ParseError``, read again with ``_FINE``, token by token; the second
+    read's result or error is the answer.  That answer is the ``_FINE``
+    read's by construction:
+
+    - only ``unary`` accepts a whole-atom token, and it returns the atom that
+      its position-checked path builds from the 4 or 6 ``_FINE`` tokens the
+      whole-atom token joins;
+    - every other reader refuses such a token, as it is no name, letter,
+      digit run or symbol: ``name``, ``letter``, ``line_number``, ``eat``,
+      ``expect``, ``expect_end``, the field readers and ``_READ``.  So a
+      ``_TOKEN`` read succeeds only where a ``_FINE`` read succeeds, with the
+      same nodes;
+    - every error, a foreign character's included, comes from the ``_FINE``
+      read, with its message and span;
+    - a ``RecursionError`` is not read again.  Both reads take the same
+      frames per level of nesting, and an atom read whole takes none beyond
+      ``unary``'s, so the ``_TOKEN`` read raises it only where the ``_FINE``
+      read would."""
 
     def __init__(self, text: str, offset: int, tokens: list[str]):
         self.text = text
@@ -145,6 +188,11 @@ class _Parser:
         if self.tokens[self.pos]:
             raise self.fail("trailing input")
 
+    def whole(self, node: Any) -> Any:
+        """``node``, once no token is left after it."""
+        self.expect_end()
+        return node
+
     # Formula grammar.
 
     def formula(self, level: int = 1) -> Formula:
@@ -164,8 +212,9 @@ class _Parser:
         return node
 
     def unary(self) -> Formula:
-        """``~``, a parenthesised formula, or an atom, whose 4 or 6 tokens
-        are checked by position; ``_reject_atom`` names the first that is wrong."""
+        """``~``, a parenthesised formula, or an atom: one whole-atom token,
+        read through ``_ATOM_TEXT``, or 4 or 6 tokens checked by position, of
+        which ``_reject_atom`` names the first that is wrong."""
         tokens = self.tokens
         at = self.pos
         token = tokens[at]
@@ -177,6 +226,19 @@ class _Parser:
             node = self.formula()
             self.expect(")")
             return node
+        atom = _ATOM_TEXT.get(token)
+        if atom is None and "(" in token:
+            # A whole-atom token not read before.  A wrong name or arity is
+            # refused here and named by the token-by-token read.
+            name, _, letters = token[:-1].partition("(")
+            functor = FUNCTOR_BY_NAME.get(name)
+            args = letters.split(",")
+            if functor is None or len(args) != functor.arity:
+                raise self.fail("not an atom")
+            atom = _ATOM_TEXT[token] = Atom(functor, *args)
+        if atom is not None:
+            self.pos = at + 1
+            return atom
         functor = FUNCTOR_BY_NAME.get(token)
         if functor is not None and tokens[at + 1] == "(" and tokens[at + 2][:1] in LETTER_START:
             if functor.arity == 2:
@@ -277,26 +339,47 @@ class _Parser:
 
 _CATEGORICAL = (Functor.A, Functor.I, Functor.E, Functor.O)
 
+# Whole-atom token -> its atom, one entry per interned atom (module docstring).
+_ATOM_TEXT: dict[str, Atom] = {}
+
+
+# The entry points read with ``_TOKEN`` and, on a ``ParseError``, again with
+# ``_FINE`` (see ``_Parser``).  The second read runs after the ``except``
+# clause, so its error carries no context, and in the entry point's own
+# frame, so a formula may nest as deep as before.
+
+def _reader(text: str, pattern: re.Pattern) -> _Parser:
+    return _Parser(text, 0, _tokenize(text, 0, pattern))
+
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text, 0, _tokenize(text, 0))
-    node = parser.formula()
-    parser.expect_end()
-    return node
+    try:
+        parser = _reader(text, _TOKEN)
+        return parser.whole(parser.formula())
+    except ParseError:
+        pass
+    parser = _reader(text, _FINE)
+    return parser.whole(parser.formula())
 
 
 def parse_sequent(text: str) -> Sequent:
-    parser = _Parser(text, 0, _tokenize(text, 0))
-    node = parser.sequent()
-    parser.expect_end()
-    return node
+    try:
+        parser = _reader(text, _TOKEN)
+        return parser.whole(parser.sequent())
+    except ParseError:
+        pass
+    parser = _reader(text, _FINE)
+    return parser.whole(parser.sequent())
 
 
 def parse_deduction_claim(text: str) -> DeductionClaim:
-    parser = _Parser(text, 0, _tokenize(text, 0))
-    node = parser.deduction_claim()
-    parser.expect_end()
-    return node
+    try:
+        parser = _reader(text, _TOKEN)
+        return parser.whole(parser.deduction_claim())
+    except ParseError:
+        pass
+    parser = _reader(text, _FINE)
+    return parser.whole(parser.deduction_claim())
 
 
 # Formatting with minimal parentheses.  Each connective's level, the least
@@ -396,7 +479,8 @@ def format_model(model: Model) -> str:
 # Script files.  Lines look like  "3: a(S,P) -> i(S,P) ; mp 1 2".
 
 def _script_lines(text: str) -> list[tuple[int, str]]:
-    """Yield (byte_offset, content) for lines that are not blank or comments."""
+    """(offset, content) of each line that is not blank or a comment, the
+    offset counted in characters of ``text``, as spans are."""
     out = []
     offset = 0
     for raw in text.splitlines(keepends=True):
@@ -407,7 +491,7 @@ def _script_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _split_line(offset: int, content: str) -> tuple[_Parser, _Parser]:
+def _split_line(offset: int, content: str, pattern: re.Pattern) -> tuple[_Parser, _Parser]:
     """Parsers for the body and the justification, cut at the last ``;``.
 
     The line is tokenized once.  ``;`` is always a token of its own, so the
@@ -415,7 +499,7 @@ def _split_line(offset: int, content: str) -> tuple[_Parser, _Parser]:
     marker, and the justification reads the tokens after it."""
     if ";" not in content:
         raise ParseError("missing ';' before the justification", SourceSpan(offset, offset + len(content)))
-    tokens = _tokenize(content, offset)
+    tokens = _tokenize(content, offset, pattern)
     last = len(tokens) - 2
     while tokens[last] != ";":
         last -= 1
@@ -535,26 +619,34 @@ _DEDUCTION = _ScriptFormat(
 
 
 def _parse_script(text: str, fmt: _ScriptFormat):
+    """Reads the whole script with ``_TOKEN`` and, on a ``ParseError``, again
+    with ``_FINE``, whose result or error is the answer, as in the entry
+    points above."""
     content_lines = _script_lines(text)
     if not content_lines:
         raise ParseError("script has no lines", SourceSpan(0, 0))
-    lines = []
-    previous = 0
-    for offset, content in content_lines:
-        body, just = _split_line(offset, content)
-        previous = _line_header(body, previous)
-        claim = fmt.read_body(body)
-        body.expect_end()
-        tag = just.name()
-        if tag not in fmt.tags:
-            raise just.fail(f"unknown justification tag {tag!r}", 0)
-        cls, kinds = fmt.tags[tag]
-        values: list = []
-        for kind in kinds:
-            values.append(kind.read(just, values))
-        just.expect_end()
-        lines.append(fmt.line(previous, claim, cls(*values)))
-    return fmt.script(tuple(lines))
+    for pattern in (_TOKEN, _FINE):
+        lines = []
+        previous = 0
+        try:
+            for offset, content in content_lines:
+                body, just = _split_line(offset, content, pattern)
+                previous = _line_header(body, previous)
+                claim = body.whole(fmt.read_body(body))
+                tag = just.name()
+                if tag not in fmt.tags:
+                    raise just.fail(f"unknown justification tag {tag!r}", 0)
+                cls, kinds = fmt.tags[tag]
+                values: list = []
+                for kind in kinds:
+                    values.append(kind.read(just, values))
+                just.expect_end()
+                lines.append(fmt.line(previous, claim, cls(*values)))
+        except ParseError:
+            if pattern is _FINE:
+                raise
+            continue
+        return fmt.script(tuple(lines))
 
 
 def _format_script(script, fmt: _ScriptFormat) -> str:

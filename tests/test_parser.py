@@ -1,3 +1,4 @@
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,10 @@ from namecalc.corpus import DATA_DIR
 from namecalc.parser import (
     ParseError,
     SourceSpan,
+    _ATOM_TEXT,
+    _FINE,
     _Parser,
+    _TOKEN,
     _tokenize,
     format_deduction_claim,
     format_formula,
@@ -485,21 +489,56 @@ def _parsed(parse, text):
 
 
 def _live_tokens(text):
-    parser = _Parser(text, 0, _tokenize(text, 0))
+    parser = _Parser(text, 0, _tokenize(text, 0, _FINE))
     return [(_kind(token), token, parser.span(i)) for i, token in enumerate(parser.tokens)]
+
+
+# The token-by-token shape of an atom after its name: None stands for a letter.
+_ATOM_SHAPES = {4: ("(", None, ")"), 6: ("(", None, ",", None, ")")}
+
+
+def _spells_atom(run):
+    """Whether ``run``, (kind, text, span) tokens, is an atom without spaces:
+    a lowercase ASCII name, then ``(``, one or two letters and ``)``."""
+    name, *rest = (text for _, text, _ in run)
+    return (
+        name.isascii() and name.isalpha() and name.islower()
+        and all(t == s if s else t[:1].isascii() and t[:1].isupper() for t, s in zip(rest, _ATOM_SHAPES[len(run)]))
+        and all(left[2].end == right[2].start for left, right in zip(run, run[1:]))
+    )
+
+
+def _joined(tokens):
+    """The texts of ``tokens`` with each run that spells an atom joined into one."""
+    out, i = [], 0
+    while i < len(tokens):
+        size = next((n for n in (6, 4) if len(tokens[i:i + n]) == n and _spells_atom(tokens[i:i + n])), 1)
+        out.append("".join(text for _, text, _ in tokens[i:i + size]))
+        i += size
+    return out
 
 
 @settings(max_examples=200)
 @given(
     st.lists(
-        st.sampled_from(list("<->=|:;[](),~&_#S1 \t\n\xa0\u2028é٣§") + ["==>", "|-", "r1", "ka", "12"]),
+        st.sampled_from(
+            list("<->=|:;[](),~&_#S1 \t\n\xa0\u2028é٣§")
+            + ["==>", "|-", "r1", "ka", "12", "a(S,P)", "ex(S)", "foo(S,P)", "a(S)", "ex(S,P)"]
+        ),
         max_size=12,
     ).map("".join)
 )
 def test_tokenizer_matches_the_reference(text):
+    # ``_FINE``'s tokens and spans are the reference's; ``_TOKEN``'s are
+    # ``_FINE``'s with each atom written without spaces read as one token.
     live = _parsed(_live_tokens, text)
     for tokenize in (reference.tokenize, parser_reference._tokenize):
         assert live == _parsed(lambda t: [(x.kind, x.text, x.span) for x in tokenize(t)], text)
+    whole = _parsed(lambda t: _tokenize(t, 0, _TOKEN), text)
+    if isinstance(live, tuple):
+        assert whole[0] == live[0]
+    else:
+        assert whole == _joined(live)
 
 
 # Formula-level parsing against the frozen reference, on printed formulas,
@@ -597,6 +636,82 @@ def _mutated_scripts(draw):
 def test_script_level_parsing_matches_the_reference(text):
     for fmt in _FORMATS:
         _assert_matches_reference(fmt, text)
+
+
+# Atoms read whole and token by token, in every position a token can take,
+# against the frozen references: right and wrong arities, unknown names,
+# long letters, and each written with and without inner spaces.
+
+def _atom_texts():
+    for functor in Functor:
+        for letters in ("S", "S,P", "Ab_1,P", "S,P,Q"):
+            yield f"{functor.value}({letters})"
+    yield from ("foo(S,P)", "foo(S)", "A(S,P)", "a()", "a(s,P)", "a(S,)", "a1(S,P)", "_a(S,P)")
+
+
+_ATOM_TEXTS = [*_atom_texts(), *(t.replace("(", " ( ").replace(",", " , ") for t in _atom_texts())]
+_FORMULA_PLACES = (
+    (parse_formula, parser_reference.parse_formula, ("@", "~@", "(@) & a(S,P)", "a(S,P) -> ~(@)")),
+    (parse_sequent, parser_reference.parse_sequent, ("@ ==> a(S,P)", "a(S,P), @ ==> @", "==> @")),
+    (parse_deduction_claim, parser_reference.parse_deduction_claim,
+     ("@ |- a(S,P)", "a(S,M), @ |- @", "|- @")),
+)
+_SCRIPT_PLACES = (
+    "1: @ ; cpl", "1: ==> @ ; cpl", "1: @ |- a(S,P) ; triv", "1: a(S,S) ; @", "1: a(S,S) ; ax @",
+    "1: a(S,S) ; ax Ia @", "1: a(S,S) ; mp 1 @", "1: ==> a(S,S) ; cut 1 @ r1",
+    "1: a(S,M) |- a(S,M) ; cut 1 @ r1", "1: ==> a(S,S) ; rule @", "1: ==> a(S,S) ; rule x-@ 1",
+)
+
+
+@pytest.mark.parametrize("atom", _ATOM_TEXTS)
+def test_atoms_in_every_position_match_the_references(atom):
+    for parse, reference_parse, places in _FORMULA_PLACES:
+        for place in places:
+            text = place.replace("@", atom)
+            assert _parsed(parse, text) == _parsed(reference_parse, text), text
+    for place in _SCRIPT_PLACES:
+        for fmt in _FORMATS:
+            _assert_matches_reference(fmt, place.replace("@", atom))
+
+
+def _seeded_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.35:
+        functor = rng.choice(list(Functor))
+        return Atom(functor, *rng.choices(("S", "P", "M", "Ab_1", "Q2"), k=functor.arity))
+    shape = rng.choice(["~", "&", "|", "->", "<->"])
+    if shape == "~":
+        return Neg(_seeded_formula(rng, depth - 1))
+    return Bin(shape, _seeded_formula(rng, depth - 1), _seeded_formula(rng, depth - 1))
+
+
+def test_atom_table_holds_one_canonical_entry_per_atom():
+    rng = random.Random(29)
+    texts = [format_formula(_seeded_formula(rng, 3)) for _ in range(300)]
+    scripts = list(_corpus_scripts())
+
+    def parse_all():
+        for text in texts:
+            parse_formula(text)
+        for fmt, text in scripts:
+            _FORMATS[fmt][0](text)
+
+    parse_all()
+    assert all(format_formula(atom) == text for text, atom in _ATOM_TEXT.items())
+    assert len(set(map(id, _ATOM_TEXT.values()))) == len(_ATOM_TEXT)
+    size = len(_ATOM_TEXT)
+    parse_all()
+    assert len(_ATOM_TEXT) == size
+
+
+def test_script_spans_count_characters():
+    # A comment with a non-ASCII character above the bad line: spans are
+    # character offsets into the text, not byte offsets.
+    head = "# Łukasiewicz's Barbara\n1: a(M,P) & a(S,M) -> a(S,P) ; cpl\n"
+    for line, bad in (("2: a(S,P) ; mp 1 x\n", "x"), ("2: a(S,P) & foo(S,P) ; cpl\n", "foo")):
+        text = head + line
+        with pytest.raises(ParseError) as err:
+            parse_proof_script(text)
+        assert text[err.value.span.start:err.value.span.end] == bad
 
 
 # Run in a fresh interpreter, so that both parsers start from the same stack
