@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -53,11 +54,24 @@ class CorpusEntry:
     notes: str = ""
 
 
+@lru_cache(maxsize=1)
+def _manifest(path: Path, mtime_ns: int, size: int) -> dict:
+    """The decoded manifest at ``path``, for the version of the file that
+    has this modification time and size.  Only the last one read is kept,
+    and no caller gets it: ``corpus_entries`` builds entries from it."""
+    return json.loads(path.read_text())
+
+
 def corpus_entries(data_dir: Optional[Path] = None, selection: Optional[str] = None) -> list[CorpusEntry]:
     """The manifest's entries in order; a selection keeps one group's, and
-    only those are built."""
-    data_dir = data_dir or DATA_DIR
-    payload = json.loads((data_dir / "manifest.json").read_text())
+    only those are built.  The manifest is decoded once per version of the
+    file, which its path, modification time and size name, so an edit is
+    read by the next call; an edit within one tick of the file system's
+    clock that keeps the size is not.  The entries are new on every call,
+    so no two callers share one or its ``verdicts``."""
+    path = (data_dir or DATA_DIR) / "manifest.json"
+    stat = path.stat()
+    payload = _manifest(path, stat.st_mtime_ns, stat.st_size)
     entries = []
     for item in payload["entries"]:
         if selection is not None and item["group"] != selection:

@@ -19,23 +19,23 @@ pair, and one parse loop and one formatter serve every format.
 
 Tokens are plain strings from one ``findall`` per text, and a token's kind
 follows from its text: a symbol, a digit run, an ASCII word, or a whole atom.
-A script line is one text: its body and its justification read their parts of
-the line's one token list, cut at its last ``;``.  Formulas are read by
-precedence climbing, one ``unary`` call per operand.
+Formulas are read by precedence climbing, one ``unary`` call per operand.  A
+script is tokenized whole: each line end (those of ``str.splitlines``), with
+the spaces and the ``#`` comment before it, is the end marker ``""``, and one
+``_Parser`` reads the lines from that one list, each line's last ``;`` made an
+end marker too.
 
-Two patterns tokenize.  ``_FINE`` reads an atom as 4 or 6 tokens, which
-``unary`` checks by position in one step, whatever the spacing.  ``_TOKEN`` is
-``_FINE`` with one more alternative, which reads an atom written without
-inner spaces, such as ``a(S,P)``, as one token; ``unary`` looks it up in
-``_ATOM_TEXT``, text to atom, and only ``unary`` accepts it.  Every text is
-read with ``_TOKEN`` first; when that read raises a ``ParseError``, the text is
-read again with ``_FINE``, and that read gives the result or the error, so
-every message and span is the token-by-token one (the ``_Parser`` docstring
-says why the answers agree).  ``_ATOM_TEXT`` is bounded by interning: its keys
-are canonical texts (``format_formula(value) == key``), one per atom of
-``core._ATOMS``, which already lives for the process.  Nothing else outlives a
-call.  Source spans are computed only on the error path, by scanning the text
-again with ``_FINE``.
+A text is read with ``_TOKEN`` first (``_SCRIPT_TOKEN`` for a script), which
+reads an atom written without inner spaces, such as ``a(S,P)``, as one token
+that only ``unary`` accepts, through ``_ATOM_TEXT``, text to atom.  On a
+``ParseError`` it is read again with ``_FINE`` (``_SCRIPT_FINE``), which reads
+an atom as 4 or 6 tokens that ``unary`` checks by position, whatever the
+spacing; a script from the start of the line that failed, as the lines before
+it read alike.  The second read's result or error is the answer, and spans are
+computed for its error only (the ``_Parser`` docstring says why the answers
+agree).  ``_ATOM_TEXT`` is bounded by interning: its keys are canonical texts
+(``format_formula(value) == key``), one per atom of ``core._ATOMS``, which
+already lives for the process.  Nothing else outlives a call.
 """
 
 from __future__ import annotations
@@ -90,61 +90,56 @@ class ParseError(Exception):
         self.span = span
 
 
-# One alternative per token kind, longer symbols first; ``\S`` catches any
-# other character, and whitespace matches nothing, so ``findall`` skips it.
+# One alternative per token kind, longer symbols first, then a catch-all.
+# ``_TOKEN`` adds, after the symbols, a lowercase name directly before one or
+# two parenthesised letters: the 4 or 6 tokens ``_FINE`` reads there, joined.
+# Letters are spelled out, as ``\w`` is Unicode in ``re``.  Each pattern's one
+# group is the token, so ``findall`` gives "" for a script's line end.
 _SYMBOL_RULES = r"<->|==>|:=|->|\|-|[(),~&|:;\[\]-]"
-_WORD_RULES = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S"
-_FINE = re.compile(f"{_SYMBOL_RULES}|{_WORD_RULES}")
-# ``_FINE`` with one more alternative after the symbols: a lowercase name
-# directly before one or two parenthesised letters, with no space inside,
-# which is the concatenation of the 4 or 6 tokens ``_FINE`` reads there.
-# Letters are spelled out rather than ``\w``, which is Unicode in ``re``.
+_WORD_RULES = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
 _LETTER = r"[A-Z][A-Za-z0-9_]*"
-_TOKEN = re.compile(rf"{_SYMBOL_RULES}|[a-z]+\({_LETTER}(?:,{_LETTER})?\)|{_WORD_RULES}")
-_SYMBOLS = frozenset(("<->", "==>", ":=", "->", "|-", *"(),~&|:;[]-"))
+_FINE_RULES = f"{_SYMBOL_RULES}|{_WORD_RULES}"
+_TOKEN_RULES = rf"{_SYMBOL_RULES}|[a-z]+\({_LETTER}(?:,{_LETTER})?\)|{_WORD_RULES}"
+_FINE = re.compile(rf"({_FINE_RULES}|\S)")  # whitespace matches nothing
+_TOKEN = re.compile(rf"({_TOKEN_RULES}|\S)")
+# A script pattern's match takes the spaces before it, so matches cover the
+# text.  Outside the group, it is a line end, with the comment before it, or
+# the end of the text.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # ``str.splitlines``'s, and "\r\n" is one
+_LINE_END = rf"(?:#[^{_BREAKS}]*)?(?:\r\n|[{_BREAKS}]|\Z)"
+_SCRIPT_FINE = re.compile(rf"[^\S{_BREAKS}]*(?:({_FINE_RULES}|[^\s#])|{_LINE_END})")
+_SCRIPT_TOKEN = re.compile(rf"[^\S{_BREAKS}]*(?:({_TOKEN_RULES}|[^\s#])|{_LINE_END})")
+_SYMBOLS = frozenset(("", "<->", "==>", ":=", "->", "|-", *"(),~&|:;[]-"))  # with the end marker
 _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
-def _span(text: str, offset: int, index: int) -> SourceSpan:
-    """The source span of token ``index`` of ``text`` as ``_FINE`` reads it,
-    the end's at the end of the text."""
-    matches = list(_FINE.finditer(text))
-    start, end = matches[index].span() if index < len(matches) else (len(text),) * 2
-    return SourceSpan(start + offset, end + offset)
-
-
-def _tokenize(text: str, offset: int, pattern: re.Pattern) -> list[str]:
-    """The tokens of ``text`` by ``pattern`` (``_TOKEN`` or ``_FINE``) and the
-    end marker ``""``: one ``findall`` and one pass over the distinct tokens,
-    which raises at the first character that no token kind accepts."""
-    tokens = pattern.findall(text)
+def _tokenize(text: str, pattern: re.Pattern, start: int = 0) -> tuple[list[str], int]:
+    """The tokens of ``text`` from offset ``start`` by ``pattern``, then ``""``,
+    and the index of the first token no token kind accepts, else of ``""``:
+    one ``findall`` and one pass over the distinct tokens."""
+    tokens = pattern.findall(text, start)
     foreign = [t for t in set(tokens).difference(_SYMBOLS) if t[0] not in _WORD_START]
-    if foreign:
-        first = min(map(tokens.index, foreign))
-        raise ParseError(f"unexpected character {tokens[first]!r}", _span(text, offset, first))
     tokens.append("")
-    return tokens
+    return tokens, min(map(tokens.index, foreign)) if foreign else len(tokens) - 1
 
 
 class _Parser:
-    """Reads ``tokens``, the tokens of ``text`` from ``_tokenize``, each a
-    plain string; ``""`` marks the end.  A script line is tokenized once, and
-    its body and justification read their parts of that one list
-    (``_split_line``).
+    """Reads ``tokens``, the tokens of ``text`` from offset ``start`` by
+    ``pattern``; ``""`` ends what one reads: the text, a script line, or the
+    body before its line's last ``;``.  No reader passes an end marker.
 
     Every token accepted here is a symbol, a digit run, an ASCII word or,
     from ``_TOKEN`` only, a whole atom written without spaces, such as
     ``a(S,P)``.  So ``str.isidentifier`` is true exactly for names,
     ``str.isdigit`` exactly for line numbers, and a token (or the end marker)
     is a name letter, as ``core.is_letter`` defines it, exactly when its first
-    character is in ``core.LETTER_START``.  No span is kept: ``span`` finds a
-    token's again from the text, as ``_FINE`` reads it, when an error is
-    raised.
+    character is in ``core.LETTER_START``.  No span is kept: ``span`` finds
+    one by token index from one scan of the text from ``start``.
 
-    Every text is read with ``_TOKEN`` first and, when that read raises a
-    ``ParseError``, read again with ``_FINE``, token by token; the second
-    read's result or error is the answer.  That answer is the ``_FINE``
-    read's by construction:
+    Every text is read with ``_TOKEN`` (``_SCRIPT_TOKEN``) first and, when
+    that read raises a ``ParseError``, read again with ``_FINE``
+    (``_SCRIPT_FINE``), token by token; the second read's result or error is
+    the answer.  That answer is the ``_FINE`` read's by construction:
 
     - only ``unary`` accepts a whole-atom token, and it returns the atom that
       its position-checked path builds from the 4 or 6 ``_FINE`` tokens the
@@ -161,17 +156,30 @@ class _Parser:
       ``unary``'s, so the ``_TOKEN`` read raises it only where the ``_FINE``
       read would."""
 
-    def __init__(self, text: str, offset: int, tokens: list[str]):
+    def __init__(self, text: str, tokens: list[str], pattern: re.Pattern, start: int = 0):
         self.text = text
-        self.offset = offset
         self.tokens = tokens
+        self.pattern = pattern
+        self.start = start
         self.pos = 0
 
-    def span(self, index: int) -> SourceSpan:
-        return _span(self.text, self.offset, index)
+    def span(self, index: int, first: Optional[int] = None) -> SourceSpan:
+        """The span of token ``index``, or from where token ``first``'s match
+        starts.  An end marker's is empty: at the text's end, at the ``;`` it
+        replaced, or where its line end's match starts."""
+        matches = list(self.pattern.finditer(self.text, self.start))
+        if index == len(matches):
+            start = end = len(self.text)
+        else:
+            start, end = matches[index].span(1)
+            if not self.tokens[index]:
+                start = end = start if start >= 0 else matches[index].start()
+        return SourceSpan(start if first is None else matches[first].start(), end)
 
-    def fail(self, message: str, index: Optional[int] = None) -> ParseError:
-        return ParseError(message, self.span(self.pos if index is None else index))
+    def fail(self, message: str, index: Optional[int] = None, first: Optional[int] = None) -> ParseError:
+        if self.pattern is _TOKEN or self.pattern is _SCRIPT_TOKEN:  # dropped for the _FINE read's error
+            return ParseError(message, SourceSpan(0, 0))
+        return ParseError(message, self.span(self.pos if index is None else index, first))
 
     def eat(self, sym: str) -> bool:
         if self.tokens[self.pos] == sym:
@@ -349,7 +357,11 @@ _ATOM_TEXT: dict[str, Atom] = {}
 # frame, so a formula may nest as deep as before.
 
 def _reader(text: str, pattern: re.Pattern) -> _Parser:
-    return _Parser(text, 0, _tokenize(text, 0, pattern))
+    tokens, foreign = _tokenize(text, pattern)
+    parser = _Parser(text, tokens, pattern)
+    if tokens[foreign]:
+        raise parser.fail(f"unexpected character {tokens[foreign]!r}", foreign)
+    return parser
 
 
 def parse_formula(text: str) -> Formula:
@@ -478,44 +490,6 @@ def format_model(model: Model) -> str:
 
 # Script files.  Lines look like  "3: a(S,P) -> i(S,P) ; mp 1 2".
 
-def _script_lines(text: str) -> list[tuple[int, str]]:
-    """(offset, content) of each line that is not blank or a comment, the
-    offset counted in characters of ``text``, as spans are."""
-    out = []
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        stripped = raw.split("#", 1)[0].rstrip("\n").rstrip()
-        if stripped.strip():
-            out.append((offset, stripped))
-        offset += len(raw)
-    return out
-
-
-def _split_line(offset: int, content: str, pattern: re.Pattern) -> tuple[_Parser, _Parser]:
-    """Parsers for the body and the justification, cut at the last ``;``.
-
-    The line is tokenized once.  ``;`` is always a token of its own, so the
-    last ``;`` token is where the text is cut: it becomes the body's end
-    marker, and the justification reads the tokens after it."""
-    if ";" not in content:
-        raise ParseError("missing ';' before the justification", SourceSpan(offset, offset + len(content)))
-    tokens = _tokenize(content, offset, pattern)
-    last = len(tokens) - 2
-    while tokens[last] != ";":
-        last -= 1
-    tokens[last] = ""
-    cut = content.rindex(";")
-    return _Parser(content[:cut], offset, tokens), _Parser(content[cut + 1:], offset + cut + 1, tokens[last + 1:])
-
-
-def _line_header(parser: _Parser, previous: int) -> int:
-    number = parser.line_number()
-    parser.expect(":")
-    if number <= previous or (previous == 0 and number != 1):
-        raise parser.fail(f"bad line number {number} after {previous}", 0)
-    return number
-
-
 class _Field(NamedTuple):
     """One justification field: ``read(parser, earlier_fields)`` and
     ``write(value)``, which gives None for a field that is left out."""
@@ -619,33 +593,58 @@ _DEDUCTION = _ScriptFormat(
 
 
 def _parse_script(text: str, fmt: _ScriptFormat):
-    """Reads the whole script with ``_TOKEN`` and, on a ``ParseError``, again
-    with ``_FINE``, whose result or error is the answer, as in the entry
-    points above."""
-    content_lines = _script_lines(text)
-    if not content_lines:
-        raise ParseError("script has no lines", SourceSpan(0, 0))
-    for pattern in (_TOKEN, _FINE):
-        lines = []
-        previous = 0
+    """Reads the whole script with ``_SCRIPT_TOKEN`` and, on a
+    ``ParseError``, again with ``_SCRIPT_FINE`` from the start of the line
+    that failed, whose result or error is the answer, as in the entry points
+    above."""
+    lines: list = []
+    offset = 0
+    for pattern in (_SCRIPT_TOKEN, _SCRIPT_FINE):
+        tokens, foreign = _tokenize(text, pattern, offset)
+        parser = _Parser(text, tokens, pattern, offset)
+        start, last = 0, len(tokens) - 1
         try:
-            for offset, content in content_lines:
-                body, just = _split_line(offset, content, pattern)
-                previous = _line_header(body, previous)
-                claim = body.whole(fmt.read_body(body))
-                tag = just.name()
+            while start < last:
+                if not tokens[start]:  # a line end, of a blank line or not
+                    start += 1
+                    continue
+                end = tokens.index("", start)
+                cut = end - 1
+                while tokens[cut] != ";":
+                    if cut == start:
+                        raise parser.fail("missing ';' before the justification", end, start)
+                    cut -= 1
+                if foreign < end:
+                    raise parser.fail(f"unexpected character {tokens[foreign]!r}", foreign)
+                tokens[cut] = ""
+                parser.pos = start
+                number = parser.line_number()
+                parser.expect(":")
+                previous = lines[-1].index if lines else 0
+                if number <= previous or (previous == 0 and number != 1):
+                    raise parser.fail(f"bad line number {number} after {previous}", start)
+                claim = parser.whole(fmt.read_body(parser))
+                parser.pos = cut + 1
+                tag = parser.name()
                 if tag not in fmt.tags:
-                    raise just.fail(f"unknown justification tag {tag!r}", 0)
+                    raise parser.fail(f"unknown justification tag {tag!r}", cut + 1)
                 cls, kinds = fmt.tags[tag]
                 values: list = []
                 for kind in kinds:
-                    values.append(kind.read(just, values))
-                just.expect_end()
-                lines.append(fmt.line(previous, claim, cls(*values)))
+                    values.append(kind.read(parser, values))
+                parser.expect_end()
+                lines.append(fmt.line(number, claim, cls(*values)))
+                start = end + 1
         except ParseError:
-            if pattern is _FINE:
+            if pattern is _SCRIPT_FINE:
                 raise
+            # The line starts past the line ends before it: the "" tokens
+            # before it, less the ``;`` of each line read.
+            ends = tokens[:start].count("") - len(lines)
+            offset = sum(map(len, text.splitlines(True)[:ends]))
             continue
+        if not lines:
+            raise ParseError("script has no lines", SourceSpan(0, 0))
         return fmt.script(tuple(lines))
 
 

@@ -1,3 +1,4 @@
+import os
 import shutil
 
 import pytest
@@ -90,6 +91,31 @@ def test_corrupted_script_yields_exactly_one_mismatch(tmp_path, old, new, compla
     assert complaint in report.mismatches[0]
     assert report.entries_run == len(corpus_entries())
     assert report.script_checks == run_corpus().script_checks
+
+
+def test_an_edited_manifest_is_read_by_the_next_run(tmp_path):
+    clone = tmp_path / "data"
+    shutil.copytree(DATA_DIR, clone)
+    manifest = clone / "manifest.json"
+    assert run_corpus("moods", data_dir=clone).ok
+    original = manifest.read_text()
+    stamp = manifest.stat().st_mtime_ns + 10**9
+    # Barbara's verdict in the class of all models comes first.  The first
+    # edit keeps the size and moves the modification time; the second
+    # changes the size and keeps the modification time.
+    for verdict in ("Valid", "invalid"):
+        manifest.write_text(original.replace('"all": "valid"', f'"all": "{verdict}"', 1))
+        os.utime(manifest, ns=(stamp, stamp))
+        report = run_corpus("moods", data_dir=clone)
+        assert report.mismatches == [f"barbara: decided valid in all, expected {verdict}"]
+
+
+def test_entries_are_new_on_every_call():
+    first, second = corpus_entries(), corpus_entries()
+    assert first == second
+    assert all(a is not b and a.verdicts is not b.verdicts for a, b in zip(first, second))
+    first[0].verdicts["all"] = "invalid"
+    assert corpus_entries()[0].verdicts["all"] == "valid"
 
 
 def test_every_script_file_is_referenced_and_every_reference_exists():

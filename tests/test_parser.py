@@ -15,9 +15,8 @@ from namecalc.parser import (
     SourceSpan,
     _ATOM_TEXT,
     _FINE,
-    _Parser,
     _TOKEN,
-    _tokenize,
+    _reader,
     format_deduction_claim,
     format_formula,
     format_model,
@@ -393,6 +392,22 @@ def test_corpus_scripts_match_the_reference_grammar():
         _assert_matches_reference(fmt, text)
 
 
+# The line ends of ``str.splitlines`` other than "\n", each of which the
+# script grammar reads as a line end too.
+_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", _LINE_ENDS, ids=lambda end: end.encode("unicode_escape").decode())
+def test_every_line_end_matches_the_reference_grammar(end):
+    # Between the lines of every corpus script, and inside a comment after
+    # every line, where it ends the comment: what follows it is another
+    # comment, or a line without a ';'.
+    for fmt, text in _corpus_scripts():
+        _assert_matches_reference(fmt, text.replace("\n", end))
+        for rest in ("  # more", "x"):
+            _assert_matches_reference(fmt, text.replace("\n", f" # note{end}{rest}\n"))
+
+
 _TAG = re.compile(r"^[^#]*;\s*([a-z]+)")
 
 
@@ -456,6 +471,12 @@ _MALFORMED = [
     "1: a(S,S) ; ax Ia §",
     "1: a(S,S) ; ax # Ia",
     "1: a(S,S) ; ax Ia # note ; mp 1 2",
+    # Line ends other than "\n", inside a body, a justification and a comment.
+    "1: a(S,S) ; cpl\r\n\r\n2: a(S,S) ; mp 1 1\r\n",
+    "1: a(S,S)\u2028; cpl",
+    "1: a(S,S) ; mp\x851 1",
+    "1: a(S,S) ; cpl # note\x0c2: a(S,S) ; cpl",
+    "  \x1e1: a(S,S) ; cpl # note\r \x1f\n\xa0 2: a(S,S) § ; cpl",
     # Atoms checked by position: a ',' where '(' belongs is "expected '('"
     # for either arity, and "takes one letter" only where ')' belongs.
     "1: ex,S) ; cpl",
@@ -489,7 +510,7 @@ def _parsed(parse, text):
 
 
 def _live_tokens(text):
-    parser = _Parser(text, 0, _tokenize(text, 0, _FINE))
+    parser = _reader(text, _FINE)
     return [(_kind(token), token, parser.span(i)) for i, token in enumerate(parser.tokens)]
 
 
@@ -534,7 +555,7 @@ def test_tokenizer_matches_the_reference(text):
     live = _parsed(_live_tokens, text)
     for tokenize in (reference.tokenize, parser_reference._tokenize):
         assert live == _parsed(lambda t: [(x.kind, x.text, x.span) for x in tokenize(t)], text)
-    whole = _parsed(lambda t: _tokenize(t, 0, _TOKEN), text)
+    whole = _parsed(lambda t: _reader(t, _TOKEN).tokens, text)
     if isinstance(live, tuple):
         assert whole[0] == live[0]
     else:
@@ -628,7 +649,7 @@ def _mutated_scripts(draw):
         for k in range(1, draw(st.integers(1, 3)) + 1)
     ]
     text = _FORMATS[fmt][1](script(tuple(lines)))
-    return _mutate(draw, text, [";", "#", *_STRAY_CHARACTERS], [*_SYMBOL_TOKENS, "#"])
+    return _mutate(draw, text, [";", "#", *_STRAY_CHARACTERS, *_LINE_ENDS], [*_SYMBOL_TOKENS, "#"])
 
 
 @settings(max_examples=300)
