@@ -18,7 +18,10 @@ atoms' rows up and folds once.  Per layout that is 2k letter rows, 4 class
 rows and at most 14k^2 atom rows, about 1.8 MB for four two-label letters
 (2^16-bit rows, 8 KB each), however many formulas are decided.  A layout of
 several tables builds its rows per table, from its head labels.
-The first falsifying labeling in that order, realized, is the countermodel.
+The first falsifying labeling in that order, realized, is the countermodel:
+its row's digits, read by ``divmod``, are the labels, and ``realize`` gives
+each region its elements from region tables kept per letter count
+(``_regions``: each region's two element names and its letter positions).
 Formulas take up to LETTER_LIMIT letters with either alphabet (2^16 or 3^16
 labelings); a valid 5-letter two-label formula would run through 2^32, so it
 is refused up front.  An independent brute-force oracle enumerates raw
@@ -66,25 +69,32 @@ Verdict = Union[Valid, Countermodel]
 
 def realize(vocab: Sequence[str], labels: Sequence[Card], cls: ModelClass) -> Optional[Model]:
     """A witness model from one label per region r, a bitmask over vocab
-    positions: Zero regions get 0 elements, One regions 1, Many regions 2,
-    each inside exactly the denotations of r's letters; fresh elements pad
-    the universe to the class minimum.  None if not in cls."""
+    positions: Zero regions get 0 elements, One regions r{r}_0, Many regions
+    r{r}_0 and r{r}_1, each inside exactly the denotations of r's letters
+    (``_regions``); fresh elements pad the universe to the class minimum.
+    None if not in cls."""
     if len(labels) != 1 << len(vocab):
         raise ValueError("need one label per region")
-    weights = (0, 1, 2)
     universe: list[str] = []
-    extents: list[set[str]] = [set() for _ in vocab]
-    for region, label in enumerate(labels):
-        for k in range(weights[label]):
-            element = f"r{region}_{k}"
-            universe.append(element)
-            for j in range(len(vocab)):
-                if region >> j & 1:
-                    extents[j].add(element)
-    universe += [f"pad{k}" for k in range(_UNIVERSE_MINIMUM[cls] - len(universe))]
-    denotation = {v: frozenset(extents[j]) for j, v in enumerate(vocab)}
-    model = Model(frozenset(universe), denotation)
+    extents: list[list[str]] = [[] for _ in vocab]
+    for label, (pair, positions) in zip(labels, _regions(len(vocab))):
+        if label:
+            elements = pair[:label]
+            universe += elements
+            for j in positions:
+                extents[j] += elements
+    if len(universe) < _UNIVERSE_MINIMUM[cls]:
+        universe += [f"pad{k}" for k in range(_UNIVERSE_MINIMUM[cls] - len(universe))]
+    model = Model(frozenset(universe), dict(zip(vocab, map(frozenset, extents))))
     return model if in_class(model, cls, vocab) else None
+
+
+@lru_cache(maxsize=2 * LETTER_LIMIT)
+def _regions(count: int) -> tuple[tuple[tuple[str, str], tuple[int, ...]], ...]:
+    """Per region of `count` letters: its two element names and the
+    positions of its letters."""
+    return tuple(((f"r{r}_0", f"r{r}_1"), tuple(j for j in range(count) if r >> j & 1))
+                 for r in range(1 << count))
 
 
 def needs_three_labels(formula: Formula) -> bool:
@@ -113,21 +123,30 @@ def decide(formula: Formula, cls: ModelClass) -> Verdict:
     # Each atom by its functor and letter positions; ex(S) reads only S, so S
     # stands in for the predicate it lacks.
     keys = {atom: (atom.functor, index[atom.subject], index[atom.predicate or atom.subject]) for atom in atoms}
-    if spanned < 1 << len(vocab):
-        tables = _tables(layout, cls, keys)
-    else:  # one table, whose rows depend on the layout alone
-        tables = [((), _kept_class(*layout, cls), {atom: _kept_atom(*layout, *key) for atom, key in keys.items()})]
-    base = len(alphabet)
-    for head, admissible, values in tables:
+    if spanned == 1 << len(vocab):  # one table, whose rows depend on the layout alone
+        values = {atom: _kept_atom(*layout, *key) for atom, key in keys.items()}
+        failing = _kept_class(*layout, cls) & (full ^ truth(formula, values.__getitem__, full))
+        return _countermodel(vocab, (), failing, alphabet, spanned, cls) if failing else Valid()
+    for head, admissible, values in _tables(layout, cls, keys):
         failing = admissible & (full ^ truth(formula, values.__getitem__, full))
         if failing:
-            row = (failing & -failing).bit_length() - 1
-            digits = (row // base**d % base for d in reversed(range(spanned)))
-            model = realize(vocab, head + tuple(alphabet[d] for d in digits), cls)
-            if model is None:
-                raise RuntimeError(f"the first falsifying labeling is not realized in {cls.value}")
-            return Countermodel(model)
+            return _countermodel(vocab, head, failing, alphabet, spanned, cls)
     return Valid()
+
+
+def _countermodel(vocab: tuple[str, ...], head: tuple[Card, ...], failing: int,
+                  alphabet: tuple[Card, ...], spanned: int, cls: ModelClass) -> Countermodel:
+    """The lowest row of `failing`, after the head labels of its table, realized."""
+    row, base = (failing & -failing).bit_length() - 1, len(alphabet)
+    labels = []
+    for _ in range(spanned):  # the last region's digit is the least significant
+        row, digit = divmod(row, base)
+        labels.append(alphabet[digit])
+    labels.reverse()
+    model = realize(vocab, head + tuple(labels), cls)
+    if model is None:
+        raise RuntimeError(f"the first falsifying labeling is not realized in {cls.value}")
+    return Countermodel(model)
 
 
 @lru_cache(maxsize=None)

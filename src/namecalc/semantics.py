@@ -46,6 +46,11 @@ class ModelClass(Enum):
     POLYREFERENTIAL = "polyreferential"
     NON_MONOREFERENTIAL = "nonmonoreferential"
 
+    # Members hash by identity, in C, as ``Functor``'s do: classes key
+    # ``_UNIVERSE_MINIMUM`` and ``decide``'s lru_cache entries on every call.
+    # No set of classes is iterated into output.
+    __hash__ = object.__hash__
+
 
 _UNIVERSE_MINIMUM = {
     ModelClass.ALL: 0,
@@ -127,8 +132,13 @@ def evaluate(model: Model, formula: Formula) -> bool:
 
 def in_class(model: Model, cls: ModelClass, vocab: Iterable[str]) -> bool:
     """Class membership, checked over the supplied vocabulary only."""
-    return len(model.universe) >= _UNIVERSE_MINIMUM[cls] and all(
-        admitted(cls, bool(d), len(d) == 1, True) for d in map(model.of, vocab))
+    if len(model.universe) < _UNIVERSE_MINIMUM[cls]:
+        return False
+    for letter in vocab:
+        d = model.of(letter)
+        if not admitted(cls, bool(d), len(d) == 1, True):
+            return False
+    return True
 
 
 def random_model(seed: int, vocab: Iterable[str], cls: ModelClass, max_universe: int) -> Model:

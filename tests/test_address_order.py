@@ -5,7 +5,9 @@ iterates in an order set by memory addresses, not by ``PYTHONHASHSEED``.  A
 process that allocated other formulas and objects first puts the same nodes
 at other addresses.  Each probe below pre-allocates a seeded, shuffled mix of
 both, then runs the commands whose stdout must stay byte-stable; every probe
-must print what a probe without the pre-allocation prints.
+must print what a probe without the pre-allocation prints.  Model classes
+hash by identity too, so the probes include ``decide`` countermodels in each
+class.
 """
 
 import os
@@ -41,6 +43,10 @@ if seed >= 0:
 commands = [
     ["corpus", "run", "--json"],
     ["decide", "ex(M) & a(P,S) -> ex(S)", "--class", "all", "--oracle", "8", "--json"],
+    # Table-path countermodels, two-label and three-label, in each class.
+    *(["decide", formula, "--class", cls, "--json"]
+      for formula in ("i(S,P) & i(P,M) -> i(S,M)", "eps(S,P) | ~i(S,M) -> a(M,P)")
+      for cls in ("all", "trad", "poly", "nonmono")),
     *(["sequent-check", str(path), "--json"] for path in sorted(data.glob("sequents/*.seq"))),
     *(["smiley-check", str(path), "--json"] for path in sorted(data.glob("deductions/*.ded"))),
 ]
@@ -68,6 +74,6 @@ def test_output_does_not_follow_memory_addresses():
         assert probe.returncode == 0, err
         outputs.append(out)
     plain = outputs[0]
-    assert plain.count("\n$ ") == 1 + 8 + 3, plain
+    assert plain.count("\n$ ") == 1 + 8 + 8 + 3, plain
     for seed, shuffled in zip(seeds, outputs[1:]):
         assert shuffled == plain, f"pre-allocation seed {seed} changes the output"

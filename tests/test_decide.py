@@ -89,6 +89,47 @@ def test_realize_needs_one_label_per_region():
         realize(("S", "P"), (Card.MANY,) * 2, ModelClass.ALL)
 
 
+def _realized_text(model):
+    return None if model is None else format_model(model)
+
+
+@pytest.mark.parametrize("alphabet", [(Card.ZERO, Card.MANY), tuple(Card)], ids=["two", "three"])
+@pytest.mark.parametrize("vocab", [("S",), ("P", "S")])
+def test_realize_matches_the_reference_on_every_labeling(vocab, alphabet):
+    for labels in itertools.product(alphabet, repeat=1 << len(vocab)):
+        for cls in ModelClass:
+            assert _realized_text(realize(vocab, labels, cls)) == \
+                _realized_text(reference_realize(vocab, labels, cls, many_size=2)), (labels, cls)
+
+
+def test_realize_matches_the_reference_on_sampled_labelings():
+    rng = random.Random(20261022)
+    for vocab in [("M", "P", "S"), ("M", "P", "Q", "S")]:
+        for _ in range(300):
+            labels = _random_labels(rng, vocab)
+            if rng.random() < 0.5:  # two labels only, as a two-label layout realizes
+                labels = tuple(Card.MANY if label else Card.ZERO for label in labels)
+            cls = rng.choice(list(ModelClass))
+            assert _realized_text(realize(vocab, labels, cls)) == \
+                _realized_text(reference_realize(vocab, labels, cls, many_size=2)), (vocab, labels, cls)
+
+
+@pytest.mark.parametrize("vocab", [(), ("M", "P", "Q", "R", "S")])
+def test_realize_takes_any_vocabulary_size(vocab):
+    rng = random.Random(len(vocab))
+    for cls in ModelClass:
+        labels = _random_labels(rng, vocab)
+        assert _realized_text(realize(vocab, labels, cls)) == \
+            _realized_text(reference_realize(vocab, labels, cls, many_size=2)), cls
+    regions = 1 << len(vocab)
+    model = realize(vocab, (Card.ONE,) * regions, ModelClass.TRADITIONAL)
+    assert len(model.universe) == regions
+    assert all(len(model.of(v)) == regions // 2 for v in vocab)
+    for wrong in (regions - 1, regions + 1, 2 * regions):
+        with pytest.raises(ValueError):
+            realize(vocab, (Card.MANY,) * wrong, ModelClass.ALL)
+
+
 def _random_labels(rng, vocab):
     return tuple(rng.choice(list(Card)) for _ in range(1 << len(vocab)))
 
