@@ -122,11 +122,13 @@ def decide(formula: Formula, cls: ModelClass) -> Verdict:
     index = {v: j for j, v in enumerate(vocab)}
     # Each atom by its functor and letter positions; ex(S) reads only S, so S
     # stands in for the predicate it lacks.
-    keys = {atom: (atom.functor, index[atom.subject], index[atom.predicate or atom.subject]) for atom in atoms}
     if spanned == 1 << len(vocab):  # one table, whose rows depend on the layout alone
-        values = {atom: _kept_atom(*layout, *key) for atom, key in keys.items()}
+        count, three, rows = layout
+        values = {atom: _kept_atom(count, three, rows, atom.functor, index[atom.subject],
+                                   index[atom.predicate or atom.subject]) for atom in atoms}
         failing = _kept_class(*layout, cls) & (full ^ truth(formula, values.__getitem__, full))
         return _countermodel(vocab, (), failing, alphabet, spanned, cls) if failing else Valid()
+    keys = {atom: (atom.functor, index[atom.subject], index[atom.predicate or atom.subject]) for atom in atoms}
     for head, admissible, values in _tables(layout, cls, keys):
         failing = admissible & (full ^ truth(formula, values.__getitem__, full))
         if failing:

@@ -9,6 +9,10 @@ Grammar for formulas (whitespace insensitive, ASCII only):
     FUNC    := a|i|e|o|ka|ke|kke|ceq|deq|ot|eps|neps|ideq|ex
     LETTER  := [A-Z][A-Za-z0-9_]*
 
+A formula may nest ``MAX_NESTING`` levels deep: each ``(``, each ``~`` and
+each ``->`` whose right operand holds the rest of a chain is a level, and the
+parser raises ``NestingTooDeep`` at the first level past it.
+
 Sequents are written ``p1, p2 ==> c`` (premises form a set: order and
 duplicates are discarded at parse time).  Deduction claims are written
 ``p1, p2 |- c``.  Script files are line oriented, ``N: BODY ; TAG FIELD ...``,
@@ -19,19 +23,19 @@ pair, and one parse loop and one formatter serve every format.
 
 Tokens are plain strings from one ``findall`` per text, and a token's kind
 follows from its text: a symbol, a digit run, an ASCII word, or a whole atom.
-Formulas are read by precedence climbing, one ``unary`` call per operand.  A
-script is tokenized whole: each line end (those of ``str.splitlines``), with
-the spaces and the ``#`` comment before it, is the end marker ``""``, and one
-``_Parser`` reads the lines from that one list, each line's last ``;`` made an
-end marker too.
+Formulas are read by precedence climbing, one ``formula`` frame per level of
+nesting and per right operand of a connective.  A script is tokenized whole:
+each line end (those of ``str.splitlines``), with the spaces and the ``#``
+comment before it, is the end marker ``""``, and one ``_Parser`` reads the
+lines from that one list, each line's last ``;`` made an end marker too.
 
 A text is read with ``_TOKEN`` first (``_SCRIPT_TOKEN`` for a script), which
 reads an atom written without inner spaces, such as ``a(S,P)``, as one token
-that only ``unary`` accepts, through ``_ATOM_TEXT``, text to atom.  On a
-``ParseError`` it is read again with ``_FINE`` (``_SCRIPT_FINE``), which reads
-an atom as 4 or 6 tokens that ``unary`` checks by position, whatever the
-spacing; a script from the start of the line that failed, as the lines before
-it read alike.  The second read's result or error is the answer, and spans are
+that only ``formula`` and ``atom`` accept, through ``_ATOM_TEXT``, text to
+atom.  On a ``ParseError`` it is read again with ``_FINE`` (``_SCRIPT_FINE``),
+which reads an atom as 4 or 6 tokens that ``atom`` checks by position,
+whatever the spacing; a script from the start of the line that failed, as the
+lines before it read alike.  The second read's result or error is the answer, and spans are
 computed for its error only (the ``_Parser`` docstring says why the answers
 agree).  ``_ATOM_TEXT`` is bounded by interning: its keys are canonical texts
 (``format_formula(value) == key``), one per atom of ``core._ATOMS``, which
@@ -90,6 +94,20 @@ class ParseError(Exception):
         self.span = span
 
 
+# The most levels of nesting a formula may have open at once: each ``(``, each
+# ``~`` and each ``->`` whose right operand holds the rest of a chain is one.
+MAX_NESTING = 400
+
+
+class NestingTooDeep(RecursionError):
+    """A formula nests past ``MAX_NESTING`` levels.  It is a
+    ``RecursionError``, the error a fold too deep for the interpreter raises,
+    so one handler serves both."""
+
+    def __init__(self) -> None:
+        super().__init__("formula nests too deeply")
+
+
 # One alternative per token kind, longer symbols first, then a catch-all.
 # ``_TOKEN`` adds, after the symbols, a lowercase name directly before one or
 # two parenthesised letters: the 4 or 6 tokens ``_FINE`` reads there, joined.
@@ -141,8 +159,10 @@ class _Parser:
     (``_SCRIPT_FINE``), token by token; the second read's result or error is
     the answer.  That answer is the ``_FINE`` read's by construction:
 
-    - only ``unary`` accepts a whole-atom token, and it returns the atom that
-      its position-checked path builds from the 4 or 6 ``_FINE`` tokens the
+    - only ``formula`` and ``atom`` accept a whole-atom token: ``formula``
+      reads one already in ``_ATOM_TEXT`` and ``atom`` adds one not read
+      before.  Either way the atom is the one that ``atom``'s
+      position-checked path builds from the 4 or 6 ``_FINE`` tokens the
       whole-atom token joins;
     - every other reader refuses such a token, as it is no name, letter,
       digit run or symbol: ``name``, ``letter``, ``line_number``, ``eat``,
@@ -151,10 +171,15 @@ class _Parser:
       same nodes;
     - every error, a foreign character's included, comes from the ``_FINE``
       read, with its message and span;
-    - a ``RecursionError`` is not read again.  Both reads take the same
-      frames per level of nesting, and an atom read whole takes none beyond
-      ``unary``'s, so the ``_TOKEN`` read raises it only where the ``_FINE``
-      read would."""
+    - a ``RecursionError`` is not read again.  ``NestingTooDeep`` comes at
+      the same token in both reads, as both count the same ``(``, ``~`` and
+      ``->`` tokens.  An atom read whole takes no more frames than its 4 or 6
+      tokens, so the interpreter's own ``RecursionError`` comes from the
+      ``_TOKEN`` read only where the ``_FINE`` read would raise it too.  That
+      can happen below ``MAX_NESTING`` only where ``<->``, ``|`` and ``&``
+      mix inside every level: each of their right operands read at a
+      tighter level takes a frame that no level counts, at most three per
+      level."""
 
     def __init__(self, text: str, tokens: list[str], pattern: re.Pattern, start: int = 0):
         self.text = text
@@ -203,39 +228,52 @@ class _Parser:
 
     # Formula grammar.
 
-    def formula(self, level: int = 1) -> Formula:
-        """A formula whose connectives bind at ``level`` or tighter, by
-        precedence climbing over ``_READ``: each operand is one ``unary``
-        call, and each connective read here reads its right operand at the
-        level ``_READ`` gives it.  A parenthesis takes two frames, this and
-        ``unary``; a ``~`` or ``->`` takes one."""
-        node = self.unary()
+    def formula(self, level: int = 1, depth: int = 0) -> Formula:
+        """A formula whose connectives bind at ``level`` or tighter, inside
+        ``depth`` levels of nesting, by precedence climbing over ``_READ``:
+        each operand is read here, a whole atom in ``_ATOM_TEXT`` inline and
+        any other atom by ``atom``, and each connective read here reads its
+        right operand at the level ``_READ`` gives it.  A ``(``, a ``~`` and
+        a right-grouped ``->`` open one level of nesting each, and one frame;
+        the first level past ``MAX_NESTING`` raises ``NestingTooDeep``."""
         tokens = self.tokens
+        at = self.pos
+        token = tokens[at]
+        node = _ATOM_TEXT.get(token)
+        if node is not None:
+            self.pos = at + 1
+        elif token == "(":
+            if depth >= MAX_NESTING:
+                raise NestingTooDeep()
+            self.pos = at + 1
+            node = self.formula(1, depth + 1)
+            self.expect(")")
+        elif token == "~":
+            if depth >= MAX_NESTING:
+                raise NestingTooDeep()
+            self.pos = at + 1
+            node = Neg(self.formula(_UNARY, depth + 1))
+        else:
+            node = self.atom()
         row = _READ.get(tokens[self.pos])
         while row is not None and row[0] >= level:
             op = tokens[self.pos]
             self.pos += 1
-            node = Bin(op, node, self.formula(row[1]))
+            deeper = depth + row[2]
+            if deeper > MAX_NESTING:
+                raise NestingTooDeep()
+            node = Bin(op, node, self.formula(row[1], deeper))
             row = _READ.get(tokens[self.pos])
         return node
 
-    def unary(self) -> Formula:
-        """``~``, a parenthesised formula, or an atom: one whole-atom token,
-        read through ``_ATOM_TEXT``, or 4 or 6 tokens checked by position, of
-        which ``_reject_atom`` names the first that is wrong."""
+    def atom(self) -> Atom:
+        """An atom not in ``_ATOM_TEXT``: a whole-atom token not read before,
+        or 4 or 6 tokens checked by position, of which ``_reject_atom`` names
+        the first that is wrong."""
         tokens = self.tokens
         at = self.pos
         token = tokens[at]
-        if token == "~":
-            self.pos = at + 1
-            return Neg(self.unary())
-        if token == "(":
-            self.pos = at + 1
-            node = self.formula()
-            self.expect(")")
-            return node
-        atom = _ATOM_TEXT.get(token)
-        if atom is None and "(" in token:
+        if "(" in token:
             # A whole-atom token not read before.  A wrong name or arity is
             # refused here and named by the token-by-token read.
             name, _, letters = token[:-1].partition("(")
@@ -244,7 +282,6 @@ class _Parser:
             if functor is None or len(args) != functor.arity:
                 raise self.fail("not an atom")
             atom = _ATOM_TEXT[token] = Atom(functor, *args)
-        if atom is not None:
             self.pos = at + 1
             return atom
         functor = FUNCTOR_BY_NAME.get(token)
@@ -260,7 +297,7 @@ class _Parser:
 
     def _reject_atom(self, at: int, functor: Optional[Functor]) -> NoReturn:
         """Raises the error for the malformed atom at token ``at``, making
-        ``unary``'s checks one token at a time in the same order: when all
+        ``atom``'s checks one token at a time in the same order: when all
         the others pass, the closing parenthesis is the token it refused."""
         token = self.tokens[at]
         if functor is None:
@@ -403,9 +440,11 @@ _WRITE = {
     op: (level, level + (op in RIGHT_GROUPING), level + (op not in RIGHT_GROUPING), f" {op} ")
     for op, level in PRECEDENCE.items()
 }
-# The parser's view of the same table: per connective, its level and the
-# level its right operand is read at.
-_READ = {op: (level, right) for op, (level, _, right, _) in _WRITE.items()}
+# The parser's view of the same table: per connective, its level, the
+# level its right operand is read at, and the levels of nesting that operand
+# opens: 1 where the connective groups right, so that its right operand may
+# hold a chain of any length, else 0.
+_READ = {op: (level, right, int(op in RIGHT_GROUPING)) for op, (level, _, right, _) in _WRITE.items()}
 
 
 def _fmt(formula: Formula, minimum: int) -> str:

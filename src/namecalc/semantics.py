@@ -52,6 +52,11 @@ class ModelClass(Enum):
     __hash__ = object.__hash__
 
 
+# The members as module globals: ``ModelClass.ALL`` goes through ``EnumType``'s
+# Python-level ``__getattr__`` on every read, and ``admitted`` runs per letter.
+_ALL, _TRADITIONAL, _POLYREFERENTIAL = ModelClass.ALL, ModelClass.TRADITIONAL, ModelClass.POLYREFERENTIAL
+
+
 _UNIVERSE_MINIMUM = {
     ModelClass.ALL: 0,
     ModelClass.TRADITIONAL: 1,
@@ -107,11 +112,11 @@ def holds(shape: Shape, empty, has_s, has_p, single_s, full):
 def admitted(cls: ModelClass, has, single, full):
     """Where one letter's denotation is allowed in the class, from where it
     has an element and where it has exactly one, as in ``holds``."""
-    if cls is ModelClass.ALL:
+    if cls is _ALL:
         return full
-    if cls is ModelClass.TRADITIONAL:
+    if cls is _TRADITIONAL:
         return has
-    if cls is ModelClass.POLYREFERENTIAL:
+    if cls is _POLYREFERENTIAL:
         return has ^ single  # at least two
     return full ^ single
 

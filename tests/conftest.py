@@ -31,3 +31,13 @@ def formulas_st(pool=LETTER_POOL, max_depth=6):
 
 
 substitutions_st = st.dictionaries(letters_st, letters_st, max_size=4)
+
+
+# Each shape nested n levels deep around one atom: n parentheses, n
+# negations, a chain of n implications, and "~(" units of two levels each.
+NESTED_SHAPES = {
+    "parentheses": lambda n: "(" * n + "a(S,S)" + ")" * n,
+    "negations": lambda n: "~" * n + "a(S,S)",
+    "implications": lambda n: "a(S,S) -> " * n + "a(S,S)",
+    "negated parentheses": lambda n: "(" * (n % 2) + "~(" * (n // 2) + "a(S,S)" + ")" * (n // 2 + n % 2),
+}

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import NESTED_SHAPES
 from namecalc import cli
 from namecalc.cli import build_parser, main, run
-from namecalc.parser import format_model, parse_model
+from namecalc.parser import MAX_NESTING, format_formula, format_model, parse_formula, parse_model
 from namecalc.representation import I_SET_CARRIER_LIMIT, format_structure, structure_from_model
 from namecalc.semantics import ModelClass, random_model
 
@@ -64,6 +65,40 @@ def test_deep_nesting_exits_2(capsys, monkeypatch, formula):
         main()
     captured = capsys.readouterr()
     assert (exit_info.value.code, captured.out, captured.err) == refusal
+
+
+def _nesting_commands(tmp_path, formula):
+    """decide, eval, translate and check, each on ``formula``."""
+    model = tmp_path / "m.json"
+    model.write_text('{"universe":["u0"],"denotation":{"S":["u0"]}}')
+    proof = tmp_path / "deep.proof"
+    proof.write_text(f"1: {formula} ; cpl\n")
+    return {
+        "decide": ["decide", formula, "--class", "all"],
+        "eval": ["eval", formula, "--model", str(model)],
+        "translate": ["translate", formula, "--to", "ai"],
+        "check": ["check", str(proof), "--system", "luk"],
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_commands_at_the_nesting_limit(capsys, tmp_path, shape):
+    formula = NESTED_SHAPES[shape](MAX_NESTING)
+    commands = _nesting_commands(tmp_path, formula)
+    assert invoke(capsys, *commands["decide"]) == (0, "VALID\n", "")
+    assert invoke(capsys, *commands["eval"]) == (0, "true\n", "")
+    translated = format_formula(parse_formula(formula)) + "\n"
+    assert invoke(capsys, *commands["translate"]) == (0, translated, "")
+    # Only the implication chain is a propositional tautology.
+    checked = (0, "ACCEPTED\n", "") if shape == "implications" else \
+        (1, "REJECTED line 1: not a propositional tautology\n", "")
+    assert invoke(capsys, *commands["check"]) == checked
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_commands_past_the_nesting_limit_exit_2(capsys, tmp_path, shape):
+    for argv in _nesting_commands(tmp_path, NESTED_SHAPES[shape](MAX_NESTING + 1)).values():
+        assert invoke(capsys, *argv) == (2, "", "guard: formula nests too deeply\n"), argv[0]
 
 
 def test_json_outputs_are_stable(capsys):

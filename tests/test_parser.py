@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import subprocess
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from namecalc.core import Atom, Bin, Functor, Neg
+from namecalc.core import Atom, Bin, Formula, Functor, Neg
 from namecalc.corpus import DATA_DIR
 from namecalc.parser import (
+    MAX_NESTING,
+    NestingTooDeep,
     ParseError,
     SourceSpan,
     _ATOM_TEXT,
@@ -60,7 +63,7 @@ from namecalc.systems import SCHEMAS
 
 import parser_reference
 import script_reference as reference
-from conftest import formulas_st, letters_st, substitutions_st
+from conftest import NESTED_SHAPES, formulas_st, letters_st, substitutions_st
 
 
 def test_barbara_concrete_syntax():
@@ -735,19 +738,83 @@ def test_script_spans_count_characters():
         assert text[err.value.span.start:err.value.span.end] == bad
 
 
+def _nested(shape: str, depth: int) -> Formula:
+    """The formula that ``NESTED_SHAPES[shape](depth)`` writes, built directly."""
+    node = Atom(Functor.A, "S", "S")
+    for _ in range(depth if shape != "parentheses" else 0):
+        node = Bin("->", Atom(Functor.A, "S", "S"), node) if shape == "implications" else Neg(node)
+    return node
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_formula_at_the_nesting_limit_parses(shape):
+    assert MAX_NESTING == 400
+    expected = _nested(shape, MAX_NESTING if shape != "negated parentheses" else MAX_NESTING // 2)
+    assert parse_formula(NESTED_SHAPES[shape](MAX_NESTING)) == expected
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_formula_past_the_nesting_limit_is_refused(shape):
+    with pytest.raises(NestingTooDeep) as err:
+        parse_formula(NESTED_SHAPES[shape](MAX_NESTING + 1))
+    # The declared error, which a ``RecursionError`` handler also catches,
+    # not the interpreter's own.
+    assert type(err.value) is NestingTooDeep and isinstance(err.value, RecursionError)
+    assert str(err.value) == "formula nests too deeply"
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_script_lines_at_and_past_the_nesting_limit(shape):
+    for parse, line in ((parse_proof_script, "1: {} ; cpl\n"), (parse_sequent_script, "1: ==> {} ; cpl\n")):
+        assert len(parse(line.format(NESTED_SHAPES[shape](MAX_NESTING))).lines) == 1
+        with pytest.raises(NestingTooDeep):
+            parse(line.format(NESTED_SHAPES[shape](MAX_NESTING + 1)))
+
+
+def test_nesting_counts_levels_open_at_once():
+    # Side by side, two formulas at the limit are still at the limit, and a
+    # flat chain of any length is no nesting at all.
+    deep = NESTED_SHAPES["parentheses"](MAX_NESTING)
+    assert parse_formula(f"{deep} & {deep} | ~{NESTED_SHAPES['parentheses'](MAX_NESTING - 1)}")
+    assert parse_sequent(f"{deep}, {deep} ==> {deep}").conclusion == _nested("parentheses", 0)
+    assert parse_formula(" & ".join(["a(S,S)"] * 2000))
+    with pytest.raises(NestingTooDeep):
+        parse_formula(f"{deep} & ~{deep}")
+
+
+def test_first_of_nesting_and_parse_errors_is_the_answer():
+    # Whichever comes first in reading order, as the second, token-by-token
+    # read gives the same answer: a nesting refusal is not read again.
+    too_deep = NESTED_SHAPES["parentheses"](MAX_NESTING + 1)
+    with pytest.raises(NestingTooDeep):
+        parse_formula(too_deep + " & foo(S)")
+    with pytest.raises(NestingTooDeep):
+        parse_formula("(" * (MAX_NESTING + 1) + "a( S , S ) & foo(S)")
+    with pytest.raises(ParseError) as err:
+        parse_formula("foo(S) & " + too_deep)
+    assert err.value.message == "unknown functor 'foo'"
+
+
+def _from_stack_depth(frames: int, call):
+    return call() if frames == 0 else _from_stack_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_formula_at_the_nesting_limit_parses_from_deep_in_the_stack(shape):
+    text = NESTED_SHAPES[shape](MAX_NESTING)
+    assert _from_stack_depth(300, lambda: parse_formula(text)) == parse_formula(text)
+
+
 # Run in a fresh interpreter, so that both parsers start from the same stack
-# depth: for each shape, the largest nesting each parser accepts before the
-# recursion limit stops it, found by bisection.
+# depth: for each shape, whether the live parser accepts it at the limit and
+# refuses it one level past, and the largest nesting the reference parser
+# accepts before the recursion limit stops it, found by bisection.
 _DEPTH_PROBE = """
+import json
 import sys
 import parser_reference
-from namecalc.parser import parse_formula
-
-SHAPES = {
-    "parentheses": lambda n: "(" * n + "a(S,S)" + ")" * n,
-    "negations": lambda n: "~" * n + "a(S,S)",
-    "implications": lambda n: "a(S,S) -> " * n + "a(S,S)",
-}
+from conftest import NESTED_SHAPES
+from namecalc.parser import MAX_NESTING, NestingTooDeep, parse_formula
 
 
 def accepts(parse, text):
@@ -756,6 +823,14 @@ def accepts(parse, text):
     except RecursionError:
         return False
     return True
+
+
+def refuses(text):
+    try:
+        parse_formula(text)
+    except NestingTooDeep:
+        return True
+    return False
 
 
 def deepest(parse, shape):
@@ -770,22 +845,31 @@ def deepest(parse, shape):
     return low
 
 
-for name, shape in SHAPES.items():
-    print(name, deepest(parse_formula, shape), deepest(parser_reference.parse_formula, shape))
+for name, shape in NESTED_SHAPES.items():
+    at_limit = accepts(parse_formula, shape(MAX_NESTING))
+    past_limit = refuses(shape(MAX_NESTING + 1))
+    print(json.dumps([name, at_limit, past_limit, deepest(parser_reference.parse_formula, shape)]))
 """
 
 
-def test_no_nesting_the_reference_accepts_is_refused():
+def test_nesting_limit_holds_in_a_fresh_interpreter():
+    # Exactly MAX_NESTING levels are accepted and one more refused, and the
+    # limit is above the reference's deepest parentheses.  The reference
+    # takes one frame per ``~`` or ``->`` and reaches further on those, so
+    # chains past the limit that it parses are refused by design.
     tests = Path(__file__).resolve().parent
     path = [str(tests), str(tests.parent / "src"), *sys.path]
     probe = f"import sys; sys.path[:0] = {path!r}\n" + _DEPTH_PROBE
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert len(lines) == 3
-    for line in lines:
-        shape, live, frozen = line.split()
-        assert int(live) >= int(frozen) > 100, line
+    frozen = {}
+    for line in result.stdout.splitlines():
+        shape, at_limit, past_limit, frozen[shape] = json.loads(line)
+        assert at_limit and past_limit, line
+        assert frozen[shape] > 100, line
+    assert sorted(frozen) == sorted(NESTED_SHAPES)
+    assert MAX_NESTING == 400
+    assert frozen["parentheses"] <= MAX_NESTING, frozen
 
 
 def test_empty_script_is_a_parse_error():
